@@ -35,7 +35,7 @@ print("dual is constacyclic:", check_dual_constacyclic(code))
 # Predicted dual degrees vs the generators recovered from the dual itself;
 # disagreements are recorded as findings.
 print("stated dual degrees:", dual_degree_formulas(spec))
-report = build_dual_report(spec)
+report = build_dual_report(spec, dual)
 print("recovered dual spec:", report.observed, " match:", report.match)
 
 # Separable codes have closed-form duals that check out exactly.

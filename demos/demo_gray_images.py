@@ -32,7 +32,7 @@ print("block image:      ", gray_map(c, "block"))
 spec = CodeSpec(2, 3, 1, parse_poly("1+x^2"), parse_poly("1+x"), parse_poly("1+x"))
 code = closure_of_spec(spec)
 img = gray_image(code, "block")
-print("binary image: n =", img.n, " k =", img.dimension, " d =", min_distance(code))
+print("binary image: n =", img.n, " k =", img.rank, " d =", min_distance(code))
 print("double cyclic in block layout:", is_double_cyclic(img, 2, 6))
 
 # Golden export format

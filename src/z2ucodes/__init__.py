@@ -65,5 +65,3 @@ from .gray import (
     min_distance,
     self_dual_transfer,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

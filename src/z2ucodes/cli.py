@@ -26,7 +26,7 @@ from .codewords import (
     validate_spec,
 )
 from .structure import census_table, type_from_enumeration, type_from_formulas
-from .duality import build_dual_report
+from .duality import build_dual_report, dual_bruteforce
 from .gray import format_binary_code, gray_image, min_distance
 from .report import DEFAULT_SEED, render, verify_report
 
@@ -103,7 +103,7 @@ def dual_doc(spec: CodeSpec, budget: int) -> dict:
     if violations:
         doc["violations"] = violations
         return doc
-    report = build_dual_report(spec, budget)
+    report = build_dual_report(spec, dual_bruteforce(closure_of_spec(spec, budget), budget))
     doc.update(report.to_dict())
     return doc
 
@@ -123,7 +123,7 @@ def gray_doc(spec: CodeSpec, layout: str, budget: int) -> dict:
     img = gray_image(code, layout)
     d = min_distance(code) if code.rank > 0 else 0
     doc["n"] = img.n
-    doc["k"] = img.dimension
+    doc["k"] = img.rank
     doc["d"] = d
     doc["export"] = format_binary_code(img, layout, d).splitlines()
     return doc
@@ -175,6 +175,17 @@ def search_doc(alpha_max: int, beta_max: int, d_min: "int | None", budget: int) 
     }
 
 
+def _length(text: str) -> int:
+    """argparse type for a code length: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--budget", type=int, default=None)
@@ -215,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("census", help="count all submodules vs the stated formula")
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
+    p.add_argument("--alpha", type=_length, required=True)
+    p.add_argument("--beta", type=_length, required=True)
     _add_common(p)
 
     p = sub.add_parser("search", help="rank all valid specs by Gray [n,k,d]")

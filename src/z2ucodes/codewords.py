@@ -73,31 +73,7 @@ class SpecParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# generic bit utilities (work on ints and numpy integer arrays alike)
-
-
-def parity(v):
-    """XOR-fold parity of the low 64 bits."""
-    v = v ^ (v >> 32)
-    v = v ^ (v >> 16)
-    v = v ^ (v >> 8)
-    v = v ^ (v >> 4)
-    v = v ^ (v >> 2)
-    v = v ^ (v >> 1)
-    return v & 1
-
-
-_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-
-def popcount(arr: np.ndarray) -> np.ndarray:
-    """Per-element population count for nonnegative int64 arrays."""
-    total = _POP8[arr & 0xFF]
-    shifted = arr >> 8
-    while shifted.any():
-        total = total + _POP8[shifted & 0xFF]
-        shifted = shifted >> 8
-    return total
+# GF(2)-linear maps on packed words (ints and numpy integer arrays alike)
 
 
 def shift_packed(w, alpha: int, beta: int):
@@ -149,10 +125,6 @@ def basis_insert(basis: list[int], v: int) -> bool:
     return True
 
 
-def span_size(basis: Sequence[int]) -> int:
-    return 1 << len(basis)
-
-
 def span_array(basis: Sequence[int]) -> np.ndarray:
     """All XOR combinations of the basis, sorted ascending."""
     arr = np.zeros(1, dtype=np.int64)
@@ -165,8 +137,9 @@ def span_array(basis: Sequence[int]) -> np.ndarray:
 def basis_from_group_array(arr: np.ndarray) -> list[int]:
     """Extract a basis from a sorted XOR-subgroup array.
 
-    In a numerically sorted subgroup the elements at indices 2^i are
-    independent and span the group; the caller re-verifies the span.
+    In a numerically sorted subgroup the element at index 2^i is the i-th
+    vector of its RREF basis, so the span of these elements equals the
+    array exactly when the array is a subgroup.
     """
     k = len(arr).bit_length() - 1
     basis: list[int] = []
@@ -290,11 +263,14 @@ def star_mul(d: RPoly, c: AmbientElement) -> AmbientElement:
 
 
 class CodeSet:
-    """A subgroup of Z2^alpha x R^beta closed under shift and u-scaling.
+    """A GF(2)-subspace of packed words: a width and a canonical RREF basis.
 
-    Stores a canonical reduced basis of packed words; the explicit word
-    array is materialized lazily.  alpha == 0 is allowed so the set can
-    also represent punctured second-block codes.
+    The width is split as alpha binary bits plus beta R symbols, so that
+    (alpha, beta) is a view of the same subspace.  A code of
+    Z2^alpha x R^beta is a CodeSet closed under shift and u-scaling; a
+    binary linear code of length n is ``CodeSet(n, 0, basis)``, and
+    alpha == 0 holds punctured second-block codes.  The explicit word
+    array is materialized lazily, only for the oracles that need it.
     """
 
     __slots__ = ("alpha", "beta", "basis", "_packed")
@@ -315,7 +291,12 @@ class CodeSet:
     @classmethod
     def from_packed_words(cls, alpha: int, beta: int, words: Iterable[int]) -> "CodeSet":
         """Build from explicit words, verifying closure under addition."""
-        arr = np.unique(np.asarray(list(words), dtype=np.int64))
+        if not isinstance(words, np.ndarray):
+            words = list(words)
+        arr = np.sort(np.asarray(words, dtype=np.int64))
+        keep = np.ones(len(arr), dtype=bool)
+        keep[1:] = arr[1:] != arr[:-1]
+        arr = arr[keep]
         n = len(arr)
         if n == 0 or arr[0] != 0:
             raise ValueError("a code set must contain the zero word")
@@ -323,17 +304,13 @@ class CodeSet:
             raise ValueError("not closed under addition: size is not a power of two")
         basis = basis_from_group_array(arr)
         if not np.array_equal(span_array(basis), arr):
-            # Slow path: provable verdict for arbitrary inputs.
-            basis = []
-            for w in arr:
-                basis_insert(basis, int(w))
-            if span_size(basis) != n or not np.array_equal(span_array(basis), arr):
-                raise ValueError("not closed under addition")
-        return cls(alpha, beta, tuple(sorted(basis, reverse=True)))
+            raise ValueError("not closed under addition")
+        return cls(alpha, beta, tuple(basis))
 
-    @classmethod
-    def from_codewords(cls, words: Iterable[Codeword], alpha: int, beta: int) -> "CodeSet":
-        return cls.from_packed_words(alpha, beta, (w.to_packed() for w in words))
+    @property
+    def n(self) -> int:
+        """Word length alpha + 2*beta in bits."""
+        return self.alpha + 2 * self.beta
 
     @property
     def rank(self) -> int:
@@ -375,74 +352,7 @@ class CodeSet:
         return f"<CodeSet alpha={self.alpha} beta={self.beta} size={len(self)}>"
 
 
-class BinaryCode:
-    """A binary linear code held as an explicit XOR-subgroup of F2^n."""
-
-    __slots__ = ("n", "basis", "_packed")
-
-    def __init__(self, n: int, basis: tuple[int, ...]):
-        self.n = n
-        self.basis = basis
-        self._packed = None
-
-    @classmethod
-    def from_basis(cls, n: int, vectors: Iterable[int]) -> "BinaryCode":
-        basis: list[int] = []
-        for v in vectors:
-            basis_insert(basis, int(v))
-        return cls(n, tuple(basis))
-
-    @classmethod
-    def from_packed_words(cls, n: int, words: Iterable[int]) -> "BinaryCode":
-        arr = np.unique(np.asarray(list(words), dtype=np.int64))
-        size = len(arr)
-        if size == 0 or arr[0] != 0:
-            raise ValueError("a binary code must contain the zero word")
-        if size & (size - 1):
-            raise ValueError("not closed under addition: size is not a power of two")
-        basis = basis_from_group_array(arr)
-        if not np.array_equal(span_array(basis), arr):
-            raise ValueError("not closed under addition")
-        return cls(n, tuple(sorted(basis, reverse=True)))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-    def __len__(self) -> int:
-        return 1 << len(self.basis)
-
-    def packed(self) -> np.ndarray:
-        if self._packed is None:
-            self._packed = span_array(self.basis)
-        return self._packed
-
-    def contains_packed(self, w: int) -> bool:
-        return reduce_against(int(w), self.basis) == 0
-
-    def min_weight(self) -> int:
-        """Minimum Hamming weight over the nonzero words."""
-        if len(self.basis) == 0:
-            raise ValueError("the zero code has no nonzero word")
-        return int(popcount(self.packed()[1:]).min())
-
-    def dual(self) -> "BinaryCode":
-        """All words of F2^n orthogonal to the code (mod-2 dot product)."""
-        if self.n > 26:
-            raise BudgetExceededError("binary dual scan beyond 2^26 words")
-        arr = np.arange(1 << self.n, dtype=np.int64)
-        for g in self.basis:
-            arr = arr[parity(arr & int(g)) == 0]
-        return BinaryCode.from_packed_words(self.n, arr)
-
-    def __eq__(self, other):
-        return isinstance(other, BinaryCode) and self.n == other.n and self.basis == other.basis
-
-    def __hash__(self):
-        return hash(("BinaryCode", self.n, self.basis))
-
-    def __repr__(self):
-        return f"<BinaryCode n={self.n} k={self.dimension}>"
+BinaryCode = CodeSet  # a binary code of length n is CodeSet(n, 0, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +437,7 @@ class CodeSpec:
 def parse_spec_text(text: str) -> CodeSpec:
     """Parse the flat key-value spec format; unknown keys are rejected."""
     fields: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -543,6 +454,7 @@ def parse_spec_text(text: str) -> CodeSpec:
         if not value:
             raise SpecParseError(f"empty value for {key!r}", lineno, len(raw) + 1)
         fields[key] = value
+        lines[key] = lineno
 
     def need(key: str) -> str:
         if key not in fields:
@@ -551,19 +463,20 @@ def parse_spec_text(text: str) -> CodeSpec:
 
     def integer(key: str) -> int:
         value = need(key)
-        if not value.isdigit():
-            raise SpecParseError(f"{key} must be a positive integer, got {value!r}", 1)
+        if not value.isdigit() or int(value) < 1:
+            raise SpecParseError(f"{key} must be a positive integer, got {value!r}", lines[key])
         return int(value)
 
     def poly(key: str) -> BinPoly:
+        value = need(key)
         try:
-            return parse_poly(need(key))
+            return parse_poly(value)
         except ValueError as exc:
-            raise SpecParseError(f"bad polynomial for {key!r}: {exc}", 1) from exc
+            raise SpecParseError(f"bad polynomial for {key!r}: {exc}", lines[key]) from exc
 
     case = integer("case")
     if case not in (1, 2, 3):
-        raise SpecParseError("case must be 1, 2 or 3", 1)
+        raise SpecParseError("case must be 1, 2 or 3", lines["case"])
     f = poly("f") if (case == 3 or "f" in fields) else None
     return CodeSpec(
         alpha=integer("alpha"),
@@ -713,10 +626,11 @@ def closure_of_spec(spec: CodeSpec, budget: int = DEFAULT_BUDGET) -> CodeSet:
 
 
 def is_constacyclic(code: CodeSet) -> bool:
-    """True iff the shift of every word stays in the set."""
-    arr = code.packed()
-    shifted = np.sort(shift_packed(arr, code.alpha, code.beta))
-    return bool(np.array_equal(shifted, arr))
+    """True iff the shift of every word stays in the set.
+
+    The shift is linear and bijective, so checking the basis suffices.
+    """
+    return all(code.contains_packed(shift_packed(b, code.alpha, code.beta)) for b in code.basis)
 
 
 def contains(code: CodeSet, c: Codeword) -> bool:

@@ -35,14 +35,8 @@ from .codewords import (
     closure_of_spec,
     is_constacyclic,
     iter_valid_specs,
-    parity,
     validate_spec,
 )
-
-try:
-    _bitwise_count = np.bitwise_count
-except AttributeError:  # pragma: no cover - older numpy
-    _bitwise_count = None
 
 
 def inner_product(c1: Codeword, c2: Codeword) -> RElem:
@@ -52,7 +46,7 @@ def inner_product(c1: Codeword, c2: Codeword) -> RElem:
     alpha, beta = c1.alpha, c1.beta
     w1, w2 = c1.to_packed(), c2.to_packed()
     m1, m2 = orthogonality_masks(w2, alpha, beta)
-    return RElem(parity(w1 & m1), parity(w1 & m2))
+    return RElem((w1 & m1).bit_count() & 1, (w1 & m2).bit_count() & 1)
 
 
 def orthogonality_masks(gen_packed: int, alpha: int, beta: int) -> tuple[int, int]:
@@ -72,17 +66,13 @@ def orthogonality_masks(gen_packed: int, alpha: int, beta: int) -> tuple[int, in
     return m_free, m_u
 
 
-def _parity_np(arr: np.ndarray) -> np.ndarray:
-    if _bitwise_count is not None:
-        return _bitwise_count(arr) & 1
-    return parity(arr.astype(np.int64))
-
-
 def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
     """All ambient elements orthogonal to every codeword.
 
     Testing against the generating set suffices by bilinearity; each
-    generator contributes two parity filters over the ambient scan.
+    generator contributes two parity filters over the ambient scan.  At
+    beta = 0 the u-part filter is the mod-2 dot product and the free part
+    is empty, so this is the dual of a binary code.
     """
     alpha, beta = code.alpha, code.beta
     nbits = alpha + 2 * beta
@@ -95,8 +85,8 @@ def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
     arr = np.arange(ambient, dtype=dtype)
     for gen in code.basis:
         m_free, m_u = orthogonality_masks(int(gen), alpha, beta)
-        bad = _parity_np(arr & dtype(m_free)) | _parity_np(arr & dtype(m_u))
-        arr = arr[bad == 0]
+        bad = np.bitwise_count(arr & dtype(m_free)) | np.bitwise_count(arr & dtype(m_u))
+        arr = arr[(bad & 1) == 0]
     return CodeSet.from_packed_words(alpha, beta, arr.astype(np.int64))
 
 
@@ -122,7 +112,7 @@ def dual_basis_linear(code: CodeSet) -> CodeSet:
             continue
         v = 1 << j
         for r in rows:
-            if parity(r & v):
+            if (r & v).bit_count() & 1:
                 v |= 1 << (r.bit_length() - 1)
         kernel.append(v)
     return CodeSet.from_basis(alpha, beta, kernel)
@@ -270,10 +260,9 @@ class DualReport:
         }
 
 
-def build_dual_report(spec: CodeSpec, budget: int = DEFAULT_BUDGET) -> DualReport:
-    """Brute-force the dual, recover a generator spec, adjudicate degrees."""
-    code = closure_of_spec(spec, budget)
-    dual = dual_bruteforce(code, budget)
+def build_dual_report(spec: CodeSpec, dual: CodeSet) -> DualReport:
+    """Recover a generator spec for the dual of the spec's code and
+    adjudicate the stated degrees against it."""
     predicted = dual_degree_formulas(spec)
     stated_case = _DUAL_CASE[spec.case]
     observed = recover_spec(dual, stated_case)

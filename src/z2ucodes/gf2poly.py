@@ -114,9 +114,6 @@ class BinPoly:
         """Number of nonzero coefficients."""
         return bin(self.bits).count("1")
 
-    def eval_at_one(self) -> int:
-        return self.weight() & 1
-
     def __add__(self, other: "BinPoly") -> "BinPoly":
         return BinPoly(self.bits ^ other.bits)
 
@@ -158,10 +155,6 @@ class BinPoly:
     def divides(self, other: "BinPoly") -> bool:
         """True iff self is nonzero and divides other exactly."""
         return not self.is_zero() and (other % self).is_zero()
-
-    def shift_up(self, k: int) -> "BinPoly":
-        """Multiply by x^k."""
-        return BinPoly(self.bits << k)
 
     def __eq__(self, other):
         return isinstance(other, BinPoly) and self.bits == other.bits

@@ -10,7 +10,7 @@ Text grammar extension for R[x]: terms may carry the coefficient prefixes
 
 from __future__ import annotations
 
-from .gf2poly import ZERO, BinPoly, MINUS_INF, PolyParseError, _parse_bits
+from .gf2poly import BinPoly, MINUS_INF, PolyParseError, _parse_bits
 
 
 class RElem:
@@ -154,7 +154,6 @@ class RPoly:
 
 
 RP_ZERO = RPoly()
-RP_ONE = RPoly(1)
 RP_U = RPoly(0, 1)
 
 
@@ -324,7 +323,3 @@ class AmbientElement:
 
     def __repr__(self):
         return f"AmbientElement({self.first!r}, {self.second!r}, alpha={self.alpha}, beta={self.beta})"
-
-
-def ambient_zero(alpha: int, beta: int) -> AmbientElement:
-    return AmbientElement(ZERO, RP_ZERO, alpha, beta)

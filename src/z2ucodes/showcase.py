@@ -101,7 +101,7 @@ def measure(interp: Interpretation) -> tuple[int, int, int]:
     """Measured [n, k, d] of the binary image of one reading."""
     code = interp.build()
     img = gray_image(code, "block")
-    return (img.n, img.dimension, min_distance(code))
+    return (img.n, img.rank, min_distance(code))
 
 
 def build_report() -> str:

@@ -12,16 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .gf2poly import BinPoly, cyclotomic_class_count, poly_gcd, x_pow_n_minus_1
 from .codewords import (
     CENSUS_BUDGET,
-    BinaryCode,
     BudgetExceededError,
     CodeSet,
     CodeSpec,
     SpecValidationError,
+    basis_insert,
     closure_basis,
     reduce_against,
     validate_spec,
@@ -55,32 +53,38 @@ class CodeType:
         )
 
 
-def _log2_exact(n: int, what: str) -> int:
-    if n <= 0 or n & (n - 1):
-        raise ArithmeticError(f"{what} = {n} is not a power of two")
-    return n.bit_length() - 1
+def _kernel(code: CodeSet, mask: int) -> CodeSet:
+    """The codewords with no bit in mask, computed from the basis.
+
+    Eliminates with the masked bits lifted above the word, so that they
+    lead; the rows left with no masked bit span the kernel.
+    """
+    n = code.n
+    rows: list[int] = []
+    for b in code.basis:
+        m = b & mask
+        basis_insert(rows, (b ^ m) | (m << n))
+    return CodeSet.from_basis(code.alpha, code.beta, (r for r in rows if not r >> n))
 
 
-def puncture_x(code: CodeSet) -> BinaryCode:
+def puncture_x(code: CodeSet) -> CodeSet:
     """Binary code of the first blocks."""
     if code.alpha == 0:
         raise ValueError("puncture_x requires alpha >= 1")
     amask = (1 << code.alpha) - 1
-    return BinaryCode.from_packed_words(code.alpha, np.unique(code.packed() & amask))
+    return CodeSet.from_basis(code.alpha, 0, (b & amask for b in code.basis))
 
 
 def puncture_y(code: CodeSet) -> CodeSet:
     """Code of second blocks, as a CodeSet with an empty binary part."""
     if code.beta == 0:
         raise ValueError("puncture_y requires beta >= 1")
-    return CodeSet.from_packed_words(0, code.beta, np.unique(code.packed() >> code.alpha))
+    return CodeSet.from_basis(0, code.beta, (b >> code.alpha for b in code.basis))
 
 
 def subcode_cb(code: CodeSet) -> CodeSet:
     """Codewords whose every second-block symbol lies in {0, u}."""
-    arr = code.packed()
-    pmask = ((1 << code.beta) - 1) << code.alpha
-    return CodeSet.from_packed_words(code.alpha, code.beta, arr[(arr & pmask) == 0])
+    return _kernel(code, ((1 << code.beta) - 1) << code.alpha)
 
 
 def cb_dimension(code: CodeSet) -> int:
@@ -130,24 +134,20 @@ def type_from_formulas(spec: CodeSpec) -> CodeType:
 
 
 def type_from_enumeration(code: CodeSet) -> CodeType:
-    """Type parameters measured directly on the enumerated word set."""
+    """Type parameters measured directly on the code, as ranks of its
+    subcodes and projections."""
     alpha, beta = code.alpha, code.beta
-    arr = code.packed()
     amask = (1 << alpha) - 1
     pmask = ((1 << beta) - 1) << alpha
     ymask = ((1 << (2 * beta)) - 1) << alpha
 
-    size = len(arr)
-    cb = arr[(arr & pmask) == 0]
-    k2 = _log2_exact(size, "|C|") - _log2_exact(len(cb), "|C_b|")
-    k1 = _log2_exact(size, "|C|") - 2 * k2
-    k0 = _log2_exact(len(np.unique(cb & amask)), "|(C_b)_X|")
-    k0p = _log2_exact(len(arr[(arr & ymask) == 0]), "|{(a,0) in C}|")
-    yonly = arr[(arr & amask) == 0]
-    yonly_b = yonly[(yonly & pmask) == 0]
-    k2p = _log2_exact(len(yonly), "|{(0,b) in C}|") - _log2_exact(
-        len(yonly_b), "|{(0,b) in C_b}|"
-    )
+    cb = _kernel(code, pmask)
+    k2 = code.rank - cb.rank
+    k1 = code.rank - 2 * k2
+    k0 = cb.rank - _kernel(cb, amask).rank  # rank of (C_b)_X
+    k0p = _kernel(code, ymask).rank
+    yonly = _kernel(code, amask)
+    k2p = yonly.rank - _kernel(yonly, pmask).rank
     return CodeType(alpha, beta, k0, k1, k2, k0p, k0 - k0p, k2p, k2 - k2p)
 
 
@@ -187,12 +187,12 @@ def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> in
     return len(seen)
 
 
-def cyclic_code_from_generator(gen: BinPoly, n: int) -> BinaryCode:
+def cyclic_code_from_generator(gen: BinPoly, n: int) -> CodeSet:
     """Binary cyclic code of length n generated by gen (may be zero)."""
     from .gf2poly import poly_divmod
 
     if gen.is_zero():
-        return BinaryCode.from_basis(n, [])
+        return CodeSet.from_basis(n, 0, [])
     reduced = poly_divmod(gen, x_pow_n_minus_1(n))[1]
     vectors = []
     bits = reduced.bits
@@ -202,7 +202,7 @@ def cyclic_code_from_generator(gen: BinPoly, n: int) -> BinaryCode:
         bits <<= 1
         if bits >> n:
             bits = (bits & mask) ^ (bits >> n)
-    return BinaryCode.from_basis(n, vectors)
+    return CodeSet.from_basis(n, 0, vectors)
 
 
 def census_table(

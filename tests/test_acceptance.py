@@ -216,11 +216,11 @@ def test_c05_image_of_dual_is_dual_of_image(sweep, sweep_duals):
             code = CodeSet(alpha, beta, basis)
             dual = CodeSet(alpha, beta, dual_basis)
             img_of_dual = gray_image(dual, "block")
-            dual_of_img = gray_image(code, "block").dual()
+            dual_of_img = dual_bruteforce(gray_image(code, "block"))
             assert img_of_dual == dual_of_img, (pair, basis)
             if alpha + 2 * beta <= 9:
                 inter = gray_image(dual, "interleaved")
-                assert inter == gray_image(code, "interleaved").dual()
+                assert inter == dual_bruteforce(gray_image(code, "interleaved"))
             total += 1
     acceptance_log.record(
         5,
@@ -428,7 +428,7 @@ def test_c11_self_dual_transfer():
             found += 1
             for layout in ("interleaved", "block"):
                 img = gray_image(code, layout)
-                assert img == img.dual(), (spec, layout)
+                assert img == dual_bruteforce(img), (spec, layout)
     acceptance_log.record(
         11,
         "self-dual codes transfer to binary self-dual images",

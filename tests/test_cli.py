@@ -108,6 +108,34 @@ class TestCensusCommand:
         assert "formula=-" in out
 
 
+LENGTH_BELOW_ONE = [
+    (["census", "--alpha", "1", "--beta", "0"], "--beta"),
+    (["census", "--alpha", "-1", "--beta", "1"], "--alpha"),
+    (["census", "--alpha", "0", "--beta", "1"], "--alpha"),
+    (["verify", "--spec", SPEC_TEXT.replace("alpha = 2", "alpha = 0")], "alpha"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    LENGTH_BELOW_ONE,
+    ids=["census-beta-0", "census-alpha-negative", "census-alpha-0", "spec-alpha-0"],
+)
+def test_length_below_one_exits_2(capsys, tmp_path, argv, name):
+    if argv[0] == "verify":
+        path = tmp_path / "zero.spec"
+        path.write_text(argv[2])
+        argv = argv[:2] + [str(path)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects option values this way
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "error" in out.err and name in out.err
+
+
 class TestSearchCommand:
     def test_small_range(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--alpha-max", "2", "--beta-max", "3")

@@ -284,8 +284,15 @@ class TestSpecFiles:
             parse_spec_text("alpha = 2\nbeta = 3\ncase = 1\na = 1\nl = 0\n")
 
     def test_bad_polynomial(self):
-        with pytest.raises(SpecParseError):
+        with pytest.raises(SpecParseError) as err:
             parse_spec_text("alpha = 2\nbeta = 3\ncase = 1\na = y\nl = 0\ng = 1\n")
+        assert err.value.line == 4
+
+    def test_length_below_one_names_its_line(self):
+        with pytest.raises(SpecParseError) as err:
+            parse_spec_text("case = 1\nalpha = 2\nbeta = 0\na = 1\nl = 0\ng = 1\n")
+        assert err.value.line == 3
+        assert "beta must be a positive integer" in str(err.value)
 
     def test_f_only_for_case3(self):
         with pytest.raises(ValueError):

@@ -132,7 +132,7 @@ class TestDegreeFormulas:
     def test_adjudication_against_bruteforce(self):
         # The stated degrees disagree with the recovered dual generators
         # for the worked example; the report records this, not hides it.
-        report = build_dual_report(WORKED)
+        report = build_dual_report(WORKED, dual_bruteforce(closure_of_spec(WORKED)))
         assert report.match in ("match", "mismatch", "not-applicable")
         assert report.match == "not-applicable"
         assert report.observed_case == 3

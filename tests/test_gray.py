@@ -17,6 +17,7 @@ from z2ucodes.gray import (
     format_binary_code,
     gray_dimension_formula,
     gray_image,
+    gray_interleaved_packed,
     gray_map,
     gray_symbol,
     is_double_cyclic,
@@ -93,7 +94,7 @@ class TestGrayImage:
         code = closure_of_spec(WORKED)
         img = gray_image(code, "block")
         assert img.n == 8
-        assert img.dimension == 5
+        assert img.rank == 5
         assert len(img) == len(code)
 
     def test_injective_on_sweep(self):
@@ -102,11 +103,18 @@ class TestGrayImage:
             for layout in ("interleaved", "block"):
                 assert len(gray_image(code, layout)) == len(code)
 
+    def test_unknown_layout_rejected(self):
+        with pytest.raises(ValueError):
+            gray_image(CodeSet.from_basis(1, 1, []), "diagonal")
+
     def test_image_linear_always(self):
-        # phi is linear per symbol here, so images of submodules must be
-        # linear; gray_image would raise otherwise.
+        # phi is linear per symbol here, so the image of a submodule is the
+        # linear code spanned by the mapped basis: it holds every mapped word.
         for spec in list(iter_valid_specs(3, 3))[::11]:
-            gray_image(closure_of_spec(spec), "interleaved")
+            code = closure_of_spec(spec)
+            img = gray_image(code, "interleaved")
+            words = gray_interleaved_packed(code.packed(), 3, 3)
+            assert all(img.contains_packed(w) for w in words)
 
 
 class TestMinDistance:
@@ -131,9 +139,9 @@ class TestDoubleCyclic:
     def test_extremes(self):
         from z2ucodes.codewords import BinaryCode
 
-        zero = BinaryCode.from_basis(8, [])
+        zero = BinaryCode.from_basis(8, 0, [])
         assert is_double_cyclic(zero, 2, 6)
-        full = BinaryCode.from_basis(8, [1 << i for i in range(8)])
+        full = BinaryCode.from_basis(8, 0, [1 << i for i in range(8)])
         assert is_double_cyclic(full, 2, 6)
 
     def test_block_layout_images_odd_beta(self):
@@ -152,7 +160,7 @@ class TestDoubleCyclic:
         from z2ucodes.codewords import BinaryCode
 
         with pytest.raises(ValueError):
-            is_double_cyclic(BinaryCode.from_basis(8, []), 2, 4)
+            is_double_cyclic(BinaryCode.from_basis(8, 0, []), 2, 4)
 
     def test_image_of_shift_is_double_shift(self):
         rng = random.Random(33)

@@ -1,3 +1,7 @@
+from pathlib import Path
+
+import pytest
+
 from z2ucodes.gf2poly import ZERO, parse_poly
 from z2ucodes.codewords import CodeSpec
 from z2ucodes.cli import search_doc
@@ -60,6 +64,22 @@ class TestVerifyReport:
         doc = verify_report(spec, seed=5)
         assert render_text(doc) == render_text(verify_report(spec, seed=5))
         assert render_json(doc) == render_json(verify_report(spec, seed=5))
+
+
+DATA = Path(__file__).parent / "data"
+
+GOLDEN_VERIFY = {
+    "verify_worked_2_3.txt": CodeSpec(2, 3, 1, P("1+x^2"), P("1+x"), P("1+x")),
+    # its interleaved Gray image is not double cyclic
+    "verify_case1_3_3.txt": CodeSpec(3, 3, 1, P("1"), ZERO, P("1+x+x^2")),
+    # the full ambient code: 2^21 words
+    "verify_full_7_7.txt": CodeSpec(7, 7, 1, P("1"), ZERO, P("1")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY))
+def test_verify_report_matches_golden(name):
+    assert render_text(verify_report(GOLDEN_VERIFY[name])) == (DATA / name).read_text()
 
 
 class TestSearchDoc:
