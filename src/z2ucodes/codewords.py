@@ -85,10 +85,11 @@ def shift_packed(w, alpha: int, beta: int):
     q = (w >> (alpha + beta)) & bmask
     if alpha:
         a = ((a << 1) | (a >> (alpha - 1))) & amask
-    pw = (p >> (beta - 1)) & 1
-    qw = (q >> (beta - 1)) & 1
-    p = ((p << 1) & bmask) | pw
-    q = ((q << 1) & bmask) | (pw ^ qw)
+    if beta:
+        pw = (p >> (beta - 1)) & 1
+        qw = (q >> (beta - 1)) & 1
+        p = ((p << 1) & bmask) | pw
+        q = ((q << 1) & bmask) | (pw ^ qw)
     return a | (p << alpha) | (q << (alpha + beta))
 
 
@@ -211,9 +212,7 @@ class Codeword:
 
     @classmethod
     def from_ambient(cls, elem: AmbientElement) -> "Codeword":
-        a = elem.first.coeffs(elem.alpha)
-        b = elem.second.coeffs(elem.beta)
-        return cls(a, b)
+        return cls.from_packed(elem.packed(), elem.alpha, elem.beta)
 
     def to_ambient(self) -> AmbientElement:
         if self.alpha < 1:
@@ -477,7 +476,9 @@ def parse_spec_text(text: str) -> CodeSpec:
     case = integer("case")
     if case not in (1, 2, 3):
         raise SpecParseError("case must be 1, 2 or 3", lines["case"])
-    f = poly("f") if (case == 3 or "f" in fields) else None
+    if case != 3 and "f" in fields:
+        raise SpecParseError(f"f is only meaningful for case 3, got case {case}", lines["f"])
+    f = poly("f") if case == 3 else None
     return CodeSpec(
         alpha=integer("alpha"),
         beta=integer("beta"),
@@ -540,12 +541,12 @@ def spanning_set(spec: CodeSpec) -> list[SpanningElement]:
     lh = reduce_mod_xn_minus_1(spec.l * h, alpha)
 
     def powers(base: AmbientElement, count: int, multiples: int, group: str):
+        # x^i * base: multiplying by x is the constacyclic shift.
         elems = []
-        current = base
-        xpoly = RPoly(BinPoly(2))
-        for i in range(count):
-            elems.append(SpanningElement(Codeword.from_ambient(current), multiples, group))
-            current = star_mul(xpoly, current)
+        w = base.packed()
+        for _ in range(count):
+            elems.append(SpanningElement(Codeword.from_packed(w, alpha, beta), multiples, group))
+            w = shift_packed(w, alpha, beta)
         return elems
 
     out: list[SpanningElement] = []
@@ -612,11 +613,9 @@ def enumerate_closure(
             f"ambient size 2^{alpha}*4^{beta} = {ambient} exceeds budget {budget}; "
             "use smaller alpha/beta or raise the budget"
         )
-    packed = []
-    for g in generators:
-        if g.alpha != alpha or g.beta != beta:
-            raise ValueError("generator lengths do not match alpha/beta")
-        packed.append(Codeword.from_ambient(g).to_packed())
+    if any(g.alpha != alpha or g.beta != beta for g in generators):
+        raise ValueError("generator lengths do not match alpha/beta")
+    packed = [g.packed() for g in generators]
     return CodeSet(alpha, beta, closure_basis(packed, alpha, beta))
 
 

@@ -10,6 +10,7 @@ of the full ambient array against the code's generating set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -211,11 +212,20 @@ def separable_dual(spec: CodeSpec) -> CodeSpec:
 _DUAL_CASE = {1: 2, 2: 1, 3: 3}
 
 
-def recover_spec(dual: CodeSet, case: int) -> "CodeSpec | None":
-    """Search the valid specs of the given case for one generating dual."""
-    for cand in iter_valid_specs(dual.alpha, dual.beta, cases=(case,)):
-        if closure_of_spec(cand).basis == dual.basis:
-            return cand
+def recover_spec(dual: CodeSet, cases: Sequence[int]) -> "CodeSpec | None":
+    """The first valid spec, over the cases in the given order, that
+    generates the dual.
+
+    A spec can only generate the dual if both its generators lie in it,
+    so only those candidates are closed; the filter is a necessary
+    condition and leaves the search's answer unchanged.
+    """
+    for case in cases:
+        for cand in iter_valid_specs(dual.alpha, dual.beta, cases=(case,)):
+            if all(dual.contains_packed(g.packed()) for g in cand.generators()) and (
+                closure_of_spec(cand).basis == dual.basis
+            ):
+                return cand
     return None
 
 
@@ -227,8 +237,22 @@ class DualReport:
     dual: CodeSet
     predicted_degrees: DualDegrees
     observed: "CodeSpec | None"
-    observed_case: "int | None"
-    match: str  # "match" | "mismatch" | "not-applicable"
+
+    @property
+    def stated_dual_case(self) -> int:
+        return _DUAL_CASE[self.spec.case]
+
+    @property
+    def observed_case(self) -> "int | None":
+        return self.observed.case if self.observed is not None else None
+
+    @property
+    def match(self) -> str:
+        """Verdict on the degrees: "match" or "mismatch", or "not-applicable"
+        when the dual has no generator spec of the stated dual case."""
+        if self.observed_case != self.stated_dual_case:
+            return "not-applicable"
+        return "match" if self.observed_degrees() == self.predicted_degrees else "mismatch"
 
     def observed_degrees(self) -> "DualDegrees | None":
         if self.observed is None:
@@ -241,7 +265,7 @@ class DualReport:
         return {
             "spec": self.spec.serialize().strip().splitlines(),
             "dual_size": len(self.dual),
-            "stated_dual_case": _DUAL_CASE[self.spec.case],
+            "stated_dual_case": self.stated_dual_case,
             "predicted_degrees": {
                 "abar": self.predicted_degrees.abar,
                 "gbar": self.predicted_degrees.gbar,
@@ -263,32 +287,10 @@ class DualReport:
 def build_dual_report(spec: CodeSpec, dual: CodeSet) -> DualReport:
     """Recover a generator spec for the dual of the spec's code and
     adjudicate the stated degrees against it."""
-    predicted = dual_degree_formulas(spec)
-    stated_case = _DUAL_CASE[spec.case]
-    observed = recover_spec(dual, stated_case)
-    observed_case = stated_case if observed is not None else None
-    if observed is None:
-        # The stated form failed; look for any generator form for the record.
-        for other in (1, 2, 3):
-            if other == stated_case:
-                continue
-            observed = recover_spec(dual, other)
-            if observed is not None:
-                observed_case = other
-                break
-    if observed is None or observed_case != stated_case:
-        match = "not-applicable"
-    else:
-        got = DualDegrees(
-            observed.a.degree,
-            observed.g.degree,
-            observed.f.degree if observed.f is not None else None,
-        )
-        same = got.abar == predicted.abar and got.gbar == predicted.gbar
-        if spec.case == 3:
-            same = same and got.fbar == predicted.fbar
-        match = "match" if same else "mismatch"
-    return DualReport(spec, dual, predicted, observed, observed_case, match)
+    # The stated form first; if it fails, any generator form for the record.
+    stated = _DUAL_CASE[spec.case]
+    cases = sorted((1, 2, 3), key=lambda case: case != stated)
+    return DualReport(spec, dual, dual_degree_formulas(spec), recover_spec(dual, cases))
 
 
 # ---------------------------------------------------------------------------

@@ -105,11 +105,6 @@ class BinPoly:
     def coeff(self, i: int) -> int:
         return (self.bits >> i) & 1
 
-    def coeffs(self, length: "int | None" = None) -> tuple[int, ...]:
-        """Ascending coefficients, padded/truncated to ``length`` if given."""
-        n = self.bits.bit_length() if length is None else length
-        return tuple((self.bits >> i) & 1 for i in range(n))
-
     def weight(self) -> int:
         """Number of nonzero coefficients."""
         return bin(self.bits).count("1")

@@ -92,7 +92,7 @@ def gray_map(c: Codeword, layout: str = "interleaved") -> BinaryWord:
 
 def lee_weight(c: Codeword) -> int:
     """Symbol weights 0,1,2,1 for 0,1,u,1+u plus binary Hamming weight."""
-    return gray_block_packed(c.to_packed(), c.alpha, c.beta).bit_count()
+    return sum(c.a) + sum(e.lee_weight() for e in c.b)
 
 
 def lee_distance(c1: Codeword, c2: Codeword) -> int:

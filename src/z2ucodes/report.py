@@ -249,9 +249,7 @@ def _dual_checks(rows: _Rows, spec: CodeSpec, code: CodeSet, budget: int) -> Cod
             closure_of_spec(sd, budget).basis,
         )
     route = gray_route_dual(spec)
-    recovered_as_stated = (
-        report.observed if report.observed_case == {1: 2, 2: 1, 3: 3}[spec.case] else None
-    )
+    recovered_as_stated = report.observed if report.match != "not-applicable" else None
     if route.abar.exact and recovered_as_stated is not None:
         rows.compare(
             "Gray-route abar prediction",

@@ -107,9 +107,6 @@ class RPoly:
     def coeff(self, i: int) -> RElem:
         return RElem(self.p.coeff(i), self.q.coeff(i))
 
-    def coeffs(self, length: int) -> tuple[RElem, ...]:
-        return tuple(self.coeff(i) for i in range(length))
-
     def __add__(self, other: "RPoly") -> "RPoly":
         return RPoly(self.p + other.p, self.q + other.q)
 
@@ -305,6 +302,11 @@ class AmbientElement:
 
     def is_zero(self) -> bool:
         return self.first.is_zero() and self.second.is_zero()
+
+    def packed(self) -> int:
+        """The packed word (a, p, q); both parts are already reduced."""
+        alpha, beta = self.alpha, self.beta
+        return self.first.bits | (self.second.p.bits << alpha) | (self.second.q.bits << (alpha + beta))
 
     def __eq__(self, other):
         return (

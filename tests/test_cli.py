@@ -113,13 +113,20 @@ LENGTH_BELOW_ONE = [
     (["census", "--alpha", "-1", "--beta", "1"], "--alpha"),
     (["census", "--alpha", "0", "--beta", "1"], "--alpha"),
     (["verify", "--spec", SPEC_TEXT.replace("alpha = 2", "alpha = 0")], "alpha"),
+    (["verify", "--spec", SPEC_TEXT + "f = 1+x\n"], "line 7, column 1: f is only meaningful"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, name",
     LENGTH_BELOW_ONE,
-    ids=["census-beta-0", "census-alpha-negative", "census-alpha-0", "spec-alpha-0"],
+    ids=[
+        "census-beta-0",
+        "census-alpha-negative",
+        "census-alpha-0",
+        "spec-alpha-0",
+        "spec-f-with-case-1",
+    ],
 )
 def test_length_below_one_exits_2(capsys, tmp_path, argv, name):
     if argv[0] == "verify":
@@ -134,6 +141,19 @@ def test_length_below_one_exits_2(capsys, tmp_path, argv, name):
     assert code == 2
     assert out.out == ""
     assert "error" in out.err and name in out.err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "missing"])
+def test_unreadable_spec_exits_2(capsys, tmp_path, kind):
+    path = tmp_path / "unreadable.spec"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(SPEC_TEXT.encode() + b"# \xff\n")
+    code, out, err = run_cli(capsys, "verify", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSearchCommand:

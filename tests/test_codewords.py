@@ -84,6 +84,13 @@ class TestStarMul:
             xs = star_mul(RPoly(BinPoly(2)), c.to_ambient())
             assert Codeword.from_ambient(xs) == shift(c)
 
+    def test_ambient_packed_round_trip(self):
+        rng = random.Random(6)
+        for _ in range(200):
+            alpha, beta = rng.randint(1, 5), rng.randint(1, 5)
+            w = rng.getrandbits(alpha + 2 * beta)
+            assert Codeword.from_packed(w, alpha, beta).to_ambient().packed() == w
+
 
 class TestValidateSpec:
     def test_worked_valid(self):
@@ -230,6 +237,11 @@ class TestCodeSet:
         full = CodeSet.from_basis(2, 1, [1, 2, 4, 8])
         assert is_constacyclic(full)
 
+    def test_constacyclic_binary_code(self):
+        # beta = 0: the shift is the plain cyclic shift of the binary block.
+        assert not is_constacyclic(CodeSet.from_basis(3, 0, [1]))
+        assert is_constacyclic(CodeSet.from_basis(3, 0, [0b111]))
+
     def test_from_words_rejects_non_groups(self):
         with pytest.raises(ValueError):
             CodeSet.from_packed_words(2, 1, [0, 1, 2])
@@ -295,8 +307,9 @@ class TestSpecFiles:
         assert "beta must be a positive integer" in str(err.value)
 
     def test_f_only_for_case3(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecParseError) as err:
             parse_spec_text("alpha = 2\nbeta = 3\ncase = 1\na = 1\nl = 0\ng = 1\nf = 1\n")
+        assert err.value.line == 7
 
 
 class TestSweep:
