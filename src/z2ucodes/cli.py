@@ -176,7 +176,7 @@ def search_doc(alpha_max: int, beta_max: int, d_min: "int | None", budget: int) 
 
 
 def _length(text: str) -> int:
-    """argparse type for a code length: an integer of at least 1."""
+    """argparse type for a length or a budget: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -188,7 +188,7 @@ def _length(text: str) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--budget", type=int, default=None)
+    sub.add_argument("--budget", type=_length, default=None)
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("factor", help="factor x^n-1 over GF(2)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_length, required=True)
     _add_common(p)
 
     p = sub.add_parser("construct", help="enumerate the code of a spec file")
@@ -231,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("search", help="rank all valid specs by Gray [n,k,d]")
-    p.add_argument("--alpha-max", type=int, required=True)
-    p.add_argument("--beta-max", type=int, required=True)
+    p.add_argument("--alpha-max", type=_length, required=True)
+    p.add_argument("--beta-max", type=_length, required=True)
     p.add_argument("--d-min", type=int, default=None)
     _add_common(p)
 
@@ -242,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace) -> dict:
     budget = args.budget if args.budget is not None else DEFAULT_BUDGET
     if args.command == "factor":
-        if args.n < 1:
-            raise SpecParseError("n must be >= 1", 1)
         return factor_doc(args.n)
     if args.command == "census":
         census_budget = args.budget if args.budget is not None else CENSUS_BUDGET

@@ -49,6 +49,8 @@ from .ringr import (
 
 DEFAULT_BUDGET = 1 << 24
 CENSUS_BUDGET = 1 << 16
+# Word arrays hold packed words as numpy int64, whose sign bit stays clear.
+WORD_BITS = 63
 
 
 class BudgetExceededError(RuntimeError):
@@ -64,12 +66,23 @@ class SpecValidationError(ValueError):
 
 
 class SpecParseError(ValueError):
-    """A spec file does not match the flat key-value format."""
+    """A spec file does not match the flat key-value format.
 
-    def __init__(self, message: str, line: int, column: int = 1):
-        super().__init__(f"line {line}, column {column}: {message}")
+    ``line`` is None when the fault is on no line, such as a missing key.
+    """
+
+    def __init__(self, message: str, line: "int | None" = None, column: int = 1):
+        super().__init__(message if line is None else f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+
+
+def check_word_width(nbits: int) -> None:
+    """Refuse to materialise words wider than :data:`WORD_BITS`."""
+    if nbits > WORD_BITS:
+        raise BudgetExceededError(
+            f"word length {nbits} bits exceeds the {WORD_BITS}-bit packed-word limit"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +139,9 @@ def basis_insert(basis: list[int], v: int) -> bool:
     return True
 
 
-def span_array(basis: Sequence[int]) -> np.ndarray:
-    """All XOR combinations of the basis, sorted ascending."""
+def span_array(basis: Sequence[int], nbits: int) -> np.ndarray:
+    """All XOR combinations of the basis of nbits-bit words, sorted ascending."""
+    check_word_width(nbits)
     arr = np.zeros(1, dtype=np.int64)
     for b in basis:
         arr = np.concatenate([arr, arr ^ b])
@@ -302,7 +316,7 @@ class CodeSet:
         if n & (n - 1):
             raise ValueError("not closed under addition: size is not a power of two")
         basis = basis_from_group_array(arr)
-        if not np.array_equal(span_array(basis), arr):
+        if not np.array_equal(span_array(basis, alpha + 2 * beta), arr):
             raise ValueError("not closed under addition")
         return cls(alpha, beta, tuple(basis))
 
@@ -321,7 +335,7 @@ class CodeSet:
     def packed(self) -> np.ndarray:
         """Sorted array of all packed words (cached)."""
         if self._packed is None:
-            self._packed = span_array(self.basis)
+            self._packed = span_array(self.basis, self.n)
         return self._packed
 
     def contains_packed(self, w: int) -> bool:
@@ -457,7 +471,7 @@ def parse_spec_text(text: str) -> CodeSpec:
 
     def need(key: str) -> str:
         if key not in fields:
-            raise SpecParseError(f"missing key {key!r}", 1)
+            raise SpecParseError(f"missing key {key!r}")
         return fields[key]
 
     def integer(key: str) -> int:

@@ -33,6 +33,7 @@ from .codewords import (
     Codeword,
     SpecValidationError,
     basis_insert,
+    check_word_width,
     closure_of_spec,
     is_constacyclic,
     iter_valid_specs,
@@ -77,6 +78,7 @@ def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
     """
     alpha, beta = code.alpha, code.beta
     nbits = alpha + 2 * beta
+    check_word_width(nbits)
     ambient = 1 << nbits
     if ambient > budget:
         raise BudgetExceededError(

@@ -21,7 +21,6 @@ from .codewords import (
     SpecValidationError,
     basis_insert,
     closure_basis,
-    reduce_against,
     validate_spec,
 )
 
@@ -159,31 +158,38 @@ def count_codes_formula(alpha: int, beta: int) -> int:
 
 
 def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> int:
-    """Exhaustive submodule count by bottom-up closure of the join lattice.
+    """Exhaustive submodule count as the join lattice of the cyclic
+    submodules.
 
-    Starts from the zero module and repeatedly adjoins a single ambient
-    element to every known module, closing under {+, x*, u*}; every
-    submodule is reachable this way because adjoining one of its
-    elements grows the closure strictly inside it.
+    Closes every nonzero ambient word once, under {+, x*, u*}, to get the
+    distinct cyclic submodules; then walks up from the zero module,
+    joining each known module with every cyclic submodule it does not
+    contain.  A sum of submodules is a submodule, so a join is the RREF
+    span of the two bases and needs no closure, and every submodule is
+    reached because it is the sum of the cyclic submodules of its
+    elements.  No counting formula is consulted.
     """
     ambient = (1 << alpha) * (1 << (2 * beta))
     if ambient > budget:
         raise BudgetExceededError(
             f"ambient size {ambient} exceeds census budget {budget}"
         )
-    words = range(1, ambient)
+    cyclic = sorted({closure_basis([w], alpha, beta) for w in range(1, ambient)})
     zero_key: tuple[int, ...] = ()
     seen = {zero_key}
     worklist = [zero_key]
     while worklist:
         basis = worklist.pop()
-        for w in words:
-            if reduce_against(w, basis) == 0:
+        for gens in cyclic:
+            grown = list(basis)
+            for g in gens:
+                basis_insert(grown, g)
+            if len(grown) == len(basis):
                 continue
-            grown = closure_basis(list(basis) + [w], alpha, beta)
-            if grown not in seen:
-                seen.add(grown)
-                worklist.append(grown)
+            key = tuple(grown)
+            if key not in seen:
+                seen.add(key)
+                worklist.append(key)
     return len(seen)
 
 

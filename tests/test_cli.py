@@ -23,7 +23,10 @@ def spec_file(tmp_path):
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects option values this way
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -114,6 +117,11 @@ LENGTH_BELOW_ONE = [
     (["census", "--alpha", "0", "--beta", "1"], "--alpha"),
     (["verify", "--spec", SPEC_TEXT.replace("alpha = 2", "alpha = 0")], "alpha"),
     (["verify", "--spec", SPEC_TEXT + "f = 1+x\n"], "line 7, column 1: f is only meaningful"),
+    (["factor", "--n", "0"], "--n"),
+    (["search", "--alpha-max", "-1", "--beta-max", "1"], "--alpha-max"),
+    (["search", "--alpha-max", "1", "--beta-max", "0"], "--beta-max"),
+    (["census", "--alpha", "1", "--beta", "1", "--budget", "-5"], "--budget"),
+    (["census", "--alpha", "1", "--beta", "1", "--budget", "0"], "--budget"),
 ]
 
 
@@ -126,6 +134,11 @@ LENGTH_BELOW_ONE = [
         "census-alpha-0",
         "spec-alpha-0",
         "spec-f-with-case-1",
+        "factor-n-0",
+        "search-alpha-max-negative",
+        "search-beta-max-0",
+        "budget-negative",
+        "budget-0",
     ],
 )
 def test_length_below_one_exits_2(capsys, tmp_path, argv, name):
@@ -133,14 +146,10 @@ def test_length_below_one_exits_2(capsys, tmp_path, argv, name):
         path = tmp_path / "zero.spec"
         path.write_text(argv[2])
         argv = argv[:2] + [str(path)]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects option values this way
-        code = exc.code
-    out = capsys.readouterr()
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert out.out == ""
-    assert "error" in out.err and name in out.err
+    assert out == ""
+    assert "error" in err and name in err
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf8", "missing"])
@@ -154,6 +163,21 @@ def test_unreadable_spec_exits_2(capsys, tmp_path, kind):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+WIDE_SPEC = "alpha = 1\nbeta = 32\ncase = 1\na = 1+x\nl = 0\ng = 1+x^32\n"
+
+
+@pytest.mark.parametrize("command", ["gray", "dual"])
+def test_words_wider_than_63_bits_exit_2(capsys, tmp_path, command):
+    # 1 + 2*32 = 65 bits do not fit a packed int64 word, whatever the budget.
+    path = tmp_path / "wide.spec"
+    path.write_text(WIDE_SPEC)
+    code, out, err = run_cli(capsys, command, "--spec", str(path), "--budget", str(10**30))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "63-bit packed-word limit" in err
 
 
 class TestSearchCommand:

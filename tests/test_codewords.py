@@ -295,6 +295,13 @@ class TestSpecFiles:
         with pytest.raises(SpecParseError):
             parse_spec_text("alpha = 2\nbeta = 3\ncase = 1\na = 1\nl = 0\n")
 
+    def test_missing_key_names_no_line(self):
+        # The key is on no line, so the diagnostic gives none.
+        with pytest.raises(SpecParseError) as err:
+            parse_spec_text("alpha = 2\nbeta = 3\ncase = 1\na = 1\ng = 1\n")
+        assert err.value.line is None
+        assert str(err.value) == "missing key 'l'"
+
     def test_bad_polynomial(self):
         with pytest.raises(SpecParseError) as err:
             parse_spec_text("alpha = 2\nbeta = 3\ncase = 1\na = y\nl = 0\ng = 1\n")

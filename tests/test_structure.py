@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -6,8 +7,10 @@ from z2ucodes.gf2poly import ZERO, parse_poly
 from z2ucodes.codewords import (
     CodeSet,
     CodeSpec,
+    closure_basis,
     closure_of_spec,
     iter_valid_specs,
+    reduce_against,
     shift_packed,
     umul_packed,
 )
@@ -160,6 +163,70 @@ class TestCensus:
         rows = census_table([(1, 1), (2, 1)])
         assert rows[0]["formula"] == 6 and rows[0]["census"] == 8 and rows[0]["match"] is False
         assert rows[1]["formula"] is None and rows[1]["match"] is None
+
+
+def census_by_adjoining_words(alpha, beta):
+    """Reference census: adjoin every nonzero ambient word to every known
+    module and close again under {+, x*, u*}, from the zero module up."""
+    words = range(1, 1 << (alpha + 2 * beta))
+    seen = {()}
+    worklist = [()]
+    while worklist:
+        basis = worklist.pop()
+        for w in words:
+            if reduce_against(w, basis) == 0:
+                continue
+            grown = closure_basis(list(basis) + [w], alpha, beta)
+            if grown not in seen:
+                seen.add(grown)
+                worklist.append(grown)
+    return len(seen)
+
+
+def cyclotomic_coset_sizes(n):
+    """Sizes of the cosets {s, 2s, 4s, ...} mod n: for odd n, the degrees
+    of the irreducible factors of x^n - 1."""
+    sizes, done = [], set()
+    for s in range(n):
+        if s in done:
+            continue
+        c, size = s, 0
+        while c not in done:
+            done.add(c)
+            size += 1
+            c = 2 * c % n
+        sizes.append(size)
+    return sizes
+
+
+def crt_census(alpha, beta):
+    """Pi_shared (2q + 4) * 2^#(alpha only) * 3^#(beta only), q = 2^deg p.
+
+    The factors shared by x^alpha - 1 and x^beta - 1 are those of
+    x^gcd(alpha, beta) - 1.
+    """
+    shared = cyclotomic_coset_sizes(math.gcd(alpha, beta))
+    count = math.prod(2 * 2**d + 4 for d in shared)
+    count *= 2 ** (len(cyclotomic_coset_sizes(alpha)) - len(shared))
+    return count * 3 ** (len(cyclotomic_coset_sizes(beta)) - len(shared))
+
+
+ORACLE_PAIRS = [(a, b) for b in (1, 2, 3) for a in range(1, 9 - 2 * b)]
+
+
+@pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS)
+def test_census_matches_adjoining_every_word(alpha, beta):
+    assert count_codes_census(alpha, beta) == census_by_adjoining_words(alpha, beta)
+
+
+CRT_PAIRS = [(1, 1), (1, 3), (3, 1), (3, 3), (1, 5), (5, 1), (3, 5), (5, 3), (7, 1), (7, 3), (9, 1)]
+
+
+@pytest.mark.parametrize("alpha, beta", CRT_PAIRS)
+def test_census_matches_the_crt_hypothesis(alpha, beta):
+    # A hypothesis recorded as data, for odd lengths; the stated formula
+    # 2^C2(alpha) * 3^C2(beta) counts a shared factor as 6, not 2q + 4.
+    assert count_codes_census(alpha, beta) == crt_census(alpha, beta)
 
 
 class TestCbDimensions:
