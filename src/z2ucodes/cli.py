@@ -103,7 +103,8 @@ def dual_doc(spec: CodeSpec, budget: int) -> dict:
     if violations:
         doc["violations"] = violations
         return doc
-    report = build_dual_report(spec, dual_bruteforce(closure_of_spec(spec, budget), budget))
+    dual = dual_bruteforce(closure_of_spec(spec, budget), budget)
+    report = build_dual_report(spec, dual, budget)
     doc.update(report.to_dict())
     return doc
 

@@ -375,6 +375,15 @@ BinaryCode = CodeSet  # a binary code of length n is CodeSet(n, 0, basis)
 _CASE_NAMES = {1: "Case1", 2: "Case2", 3: "Case3"}
 
 
+def y_generator_of(case: int, g: BinPoly, f: "BinPoly | None") -> RPoly:
+    """The second-block generator g, u*g or f*g of a case."""
+    if case == 1:
+        return RPoly(g)
+    if case == 2:
+        return RPoly(ZERO, g)
+    return RPoly(f * g)
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """One of the three generator cases with polynomials (a, l, g[, f])."""
@@ -406,11 +415,7 @@ class CodeSpec:
 
     def y_generator(self) -> RPoly:
         """The second-block generator polynomial as an element of R[x]."""
-        if self.case == 1:
-            return RPoly(self.g)
-        if self.case == 2:
-            return RPoly(ZERO, self.g)
-        return RPoly(self.f * self.g)
+        return y_generator_of(self.case, self.g, self.f)
 
     def generators(self) -> list[AmbientElement]:
         """The module generators (a, 0) and (l, y-part)."""
@@ -677,34 +682,39 @@ def _l_candidates(a: BinPoly, window: BinPoly) -> Iterator[BinPoly]:
         yield BinPoly(mbits) * base
 
 
-def iter_valid_specs(
-    alpha: int, beta: int, cases: Sequence[int] = (1, 2, 3)
-) -> Iterator[CodeSpec]:
-    """Every valid CodeSpec for the given lengths, in deterministic order.
+def iter_spec_families(
+    alpha: int, beta: int, case: int
+) -> Iterator[tuple[BinPoly, BinPoly, "BinPoly | None", Iterator[BinPoly]]]:
+    """(a, g, f, l candidates) of every valid spec of one case, in sweep order.
 
-    Case 3 iterates f != 1 only; an f of 1 reproduces a case-1 spec.
+    The l candidates are a lazy iterator, so a caller that rejects a
+    family from (a, g, f) alone never generates them.  Case 3 iterates
+    f != 1 only; an f of 1 reproduces a case-1 spec.
     """
     xb = x_pow_n_minus_1(beta)
     divs_a = divisors_of_xn_minus_1(alpha)
     divs_b = divisors_of_xn_minus_1(beta)
-    if 1 in cases:
-        for a in divs_a:
-            for g in divs_b:
-                for l in _l_candidates(a, xb):
-                    yield CodeSpec(alpha, beta, 1, a, l, g)
-    if 2 in cases:
-        for a in divs_a:
-            for g in divs_b:
-                h = xb // g
-                for l in _l_candidates(a, h):
-                    yield CodeSpec(alpha, beta, 2, a, l, g)
-    if 3 in cases:
+    if case == 3:
         for f in divs_b:
             if f == ONE:
                 continue
             for g in divs_b:
-                if not f.divides(g):
-                    continue
-                for a in divs_a:
-                    for l in _l_candidates(a, xb):
-                        yield CodeSpec(alpha, beta, 3, a, l, g, f)
+                if f.divides(g):
+                    for a in divs_a:
+                        yield a, g, f, _l_candidates(a, xb)
+        return
+    for a in divs_a:
+        for g in divs_b:
+            yield a, g, None, _l_candidates(a, xb if case == 1 else xb // g)
+
+
+def iter_valid_specs(
+    alpha: int, beta: int, cases: Sequence[int] = (1, 2, 3)
+) -> Iterator[CodeSpec]:
+    """Every valid CodeSpec for the given lengths, in deterministic order:
+    case by case, then family by family of :func:`iter_spec_families`."""
+    for case in (1, 2, 3):
+        if case in cases:
+            for a, g, f, ls in iter_spec_families(alpha, beta, case):
+                for l in ls:
+                    yield CodeSpec(alpha, beta, case, a, l, g, f)

@@ -3,8 +3,11 @@ duals, the eta pairing and the Gray-route dual generator predictions.
 
 Orthogonality of a scanned word w against a fixed codeword d reduces to
 two GF(2) parity conditions on w (the free part and the u part of the
-inner product), so the brute-force dual is a progressive parity filter
-of the full ambient array against the code's generating set.
+inner product).  The brute-force dual folds these conditions into an
+independent set, so that a word's syndrome (one parity per condition)
+is a linear function of it, and scans the ambient space as a table of
+high-half syndromes against a table of low-half syndromes: w lies in
+the dual exactly when the two halves' syndromes cancel.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .gf2poly import (
     reciprocal,
     x_pow_n_minus_1,
 )
-from .ringr import RElem
+from .ringr import RP_ZERO, AmbientElement, RElem, RPoly
 from .codewords import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -36,8 +39,10 @@ from .codewords import (
     check_word_width,
     closure_of_spec,
     is_constacyclic,
-    iter_valid_specs,
+    iter_spec_families,
+    reduce_against,
     validate_spec,
+    y_generator_of,
 )
 
 
@@ -68,13 +73,37 @@ def orthogonality_masks(gen_packed: int, alpha: int, beta: int) -> tuple[int, in
     return m_free, m_u
 
 
+def _orthogonality_rows(code: CodeSet) -> list[int]:
+    """An RREF basis of the generators' orthogonality masks: the dual is
+    the set of words with even parity against every row."""
+    rows: list[int] = []
+    for gen in code.basis:
+        for mask in orthogonality_masks(int(gen), code.alpha, code.beta):
+            basis_insert(rows, mask)
+    return rows
+
+
+def _syndrome_table(rows: Sequence[int], shift: int, nbits: int) -> np.ndarray:
+    """Syndromes of the words h << shift for h in [0, 2^nbits): bit i of
+    an entry is the parity of that word against rows[i]."""
+    table = np.zeros(1, dtype=np.int64)
+    for j in range(shift, shift + nbits):
+        column = sum(1 << i for i, r in enumerate(rows) if (r >> j) & 1)
+        table = np.concatenate([table, table ^ column])
+    return table
+
+
 def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
     """All ambient elements orthogonal to every codeword.
 
     Testing against the generating set suffices by bilinearity; each
-    generator contributes two parity filters over the ambient scan.  At
-    beta = 0 the u-part filter is the mod-2 dot product and the free part
-    is empty, so this is the dual of a binary code.
+    generator contributes two parity conditions, folded into at most
+    n = alpha + 2*beta independent rows, so a syndrome fits in an int64.
+    The syndrome is linear, so the word hi|lo is in the dual exactly when
+    S_hi[hi] == S_lo[lo]: every ambient word is tested, as one outer
+    comparison of the two half tables.  At beta = 0 the u-part condition
+    is the mod-2 dot product and the free part is empty, so this is the
+    dual of a binary code.
     """
     alpha, beta = code.alpha, code.beta
     nbits = alpha + 2 * beta
@@ -84,13 +113,12 @@ def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
         raise BudgetExceededError(
             f"ambient size {ambient} exceeds budget {budget}"
         )
-    dtype = np.uint32 if nbits <= 32 else np.int64
-    arr = np.arange(ambient, dtype=dtype)
-    for gen in code.basis:
-        m_free, m_u = orthogonality_masks(int(gen), alpha, beta)
-        bad = np.bitwise_count(arr & dtype(m_free)) | np.bitwise_count(arr & dtype(m_u))
-        arr = arr[(bad & 1) == 0]
-    return CodeSet.from_packed_words(alpha, beta, arr.astype(np.int64))
+    rows = _orthogonality_rows(code)
+    low = nbits // 2
+    s_lo = _syndrome_table(rows, 0, low)
+    s_hi = _syndrome_table(rows, low, nbits - low)
+    words = np.flatnonzero(s_hi[:, None] == s_lo[None, :])
+    return CodeSet.from_packed_words(alpha, beta, words)
 
 
 def dual_basis_linear(code: CodeSet) -> CodeSet:
@@ -100,17 +128,12 @@ def dual_basis_linear(code: CodeSet) -> CodeSet:
     Used for bulk sweeps; the acceptance suite cross-validates it against
     the scan oracle.
     """
-    alpha, beta = code.alpha, code.beta
-    nbits = alpha + 2 * beta
-    rows: list[int] = []
-    for gen in code.basis:
-        for mask in orthogonality_masks(int(gen), alpha, beta):
-            basis_insert(rows, mask)
+    rows = _orthogonality_rows(code)
     pivot_bits = 0
     for r in rows:
         pivot_bits |= 1 << (r.bit_length() - 1)
     kernel = []
-    for j in range(nbits):
+    for j in range(code.n):
         if (pivot_bits >> j) & 1:
             continue
         v = 1 << j
@@ -118,7 +141,7 @@ def dual_basis_linear(code: CodeSet) -> CodeSet:
             if (r & v).bit_count() & 1:
                 v |= 1 << (r.bit_length() - 1)
         kernel.append(v)
-    return CodeSet.from_basis(alpha, beta, kernel)
+    return CodeSet.from_basis(code.alpha, code.beta, kernel)
 
 
 def check_dual_constacyclic(code: CodeSet, budget: int = DEFAULT_BUDGET) -> bool:
@@ -214,20 +237,43 @@ def separable_dual(spec: CodeSpec) -> CodeSpec:
 _DUAL_CASE = {1: 2, 2: 1, 3: 3}
 
 
-def recover_spec(dual: CodeSet, cases: Sequence[int]) -> "CodeSpec | None":
+def recover_spec(
+    dual: CodeSet, cases: Sequence[int], budget: int = DEFAULT_BUDGET
+) -> "CodeSpec | None":
     """The first valid spec, over the cases in the given order, that
     generates the dual.
 
     A spec can only generate the dual if both its generators lie in it,
     so only those candidates are closed; the filter is a necessary
-    condition and leaves the search's answer unchanged.
+    condition and leaves the search's answer unchanged.  Reduction
+    against the dual's RREF basis is linear, so (a, 0) lies in the dual
+    iff its remainder is 0, and (l, y) iff rem(l, 0) == rem(0, y); each
+    remainder is computed once per distinct a, l and y.
     """
+    alpha, beta = dual.alpha, dual.beta
+    first_rems: dict[int, int] = {}
+    y_rems: dict[RPoly, int] = {}
+
+    def rem(first: BinPoly, second: RPoly) -> int:
+        return reduce_against(AmbientElement(first, second, alpha, beta).packed(), dual.basis)
+
+    def first_rem(p: BinPoly) -> int:
+        if p.bits not in first_rems:
+            first_rems[p.bits] = rem(p, RP_ZERO)
+        return first_rems[p.bits]
+
     for case in cases:
-        for cand in iter_valid_specs(dual.alpha, dual.beta, cases=(case,)):
-            if all(dual.contains_packed(g.packed()) for g in cand.generators()) and (
-                closure_of_spec(cand).basis == dual.basis
-            ):
-                return cand
+        for a, g, f, ls in iter_spec_families(alpha, beta, case):
+            if first_rem(a):
+                continue
+            y = y_generator_of(case, g, f)
+            if y not in y_rems:
+                y_rems[y] = rem(ZERO, y)
+            for l in ls:
+                if first_rem(l) == y_rems[y]:
+                    cand = CodeSpec(alpha, beta, case, a, l, g, f)
+                    if closure_of_spec(cand, budget).basis == dual.basis:
+                        return cand
     return None
 
 
@@ -286,13 +332,15 @@ class DualReport:
         }
 
 
-def build_dual_report(spec: CodeSpec, dual: CodeSet) -> DualReport:
+def build_dual_report(
+    spec: CodeSpec, dual: CodeSet, budget: int = DEFAULT_BUDGET
+) -> DualReport:
     """Recover a generator spec for the dual of the spec's code and
     adjudicate the stated degrees against it."""
     # The stated form first; if it fails, any generator form for the record.
     stated = _DUAL_CASE[spec.case]
     cases = sorted((1, 2, 3), key=lambda case: case != stated)
-    return DualReport(spec, dual, dual_degree_formulas(spec), recover_spec(dual, cases))
+    return DualReport(spec, dual, dual_degree_formulas(spec), recover_spec(dual, cases, budget))
 
 
 # ---------------------------------------------------------------------------

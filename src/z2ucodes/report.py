@@ -165,7 +165,7 @@ def _spanning_checks(rows: _Rows, spec: CodeSpec, code: CodeSet) -> None:
     )
 
 
-def _type_checks(rows: _Rows, spec: CodeSpec, code: CodeSet) -> None:
+def _type_checks(rows: _Rows, spec: CodeSpec, code: CodeSet, budget: int) -> None:
     stated = type_from_formulas(spec)
     measured = type_from_enumeration(code)
     rows.compare("type (k0, k1, k2)", stated.triple(), measured.triple())
@@ -195,6 +195,7 @@ def _type_checks(rows: _Rows, spec: CodeSpec, code: CodeSet) -> None:
         [AmbientElement(ZERO, spec.y_generator(), spec.alpha, spec.beta)],
         spec.alpha,
         spec.beta,
+        budget,
     )
     rows.compare_sets(
         "C_Y is generated by the second-block polynomial", puncture_y(y_only).basis, cy.basis
@@ -206,7 +207,7 @@ def _type_checks(rows: _Rows, spec: CodeSpec, code: CodeSet) -> None:
             AmbientElement(lh, RP_U, spec.alpha, spec.beta),
             AmbientElement(ZERO, RPoly(ZERO, spec.g), spec.alpha, spec.beta),
         ]
-        cb_gen = enumerate_closure(gens, spec.alpha, spec.beta)
+        cb_gen = enumerate_closure(gens, spec.alpha, spec.beta, budget)
         rows.compare_sets(
             "C_b equals the closure of its three stated generators",
             cb_gen.basis,
@@ -226,7 +227,7 @@ def _dual_checks(rows: _Rows, spec: CodeSpec, code: CodeSet, budget: int) -> Cod
         "pass" if is_constacyclic(dual) else "finding",
         f"dual of size {len(dual)}",
     )
-    report = build_dual_report(spec, dual)
+    report = build_dual_report(spec, dual, budget)
     obs = report.observed_degrees()
 
     def _degs(d):
@@ -392,7 +393,7 @@ def verify_report(
             "cardinality formula vs closure oracle", cardinality_formula(spec), len(code)
         )
         _spanning_checks(rows, spec, code)
-        _type_checks(rows, spec, code)
+        _type_checks(rows, spec, code, budget)
         dual = _dual_checks(rows, spec, code, budget)
         _gray_checks(rows, spec, code, dual, seed, budget)
     return {

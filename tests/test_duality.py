@@ -5,6 +5,7 @@ import pytest
 from z2ucodes.gf2poly import ZERO, BinPoly, parse_poly, reciprocal, x_pow_n_minus_1
 from z2ucodes.ringr import R_ONE, R_U, R_ZERO
 from z2ucodes.codewords import (
+    BudgetExceededError,
     CodeSet,
     CodeSpec,
     Codeword,
@@ -12,6 +13,7 @@ from z2ucodes.codewords import (
     iter_valid_specs,
     shift,
 )
+from z2ucodes.gray import LAYOUTS, gray_image
 from z2ucodes.duality import (
     DualDegrees,
     build_dual_report,
@@ -101,9 +103,58 @@ class TestDualBruteforce:
                 seen.add(code.basis)
                 assert dual_basis_linear(code) == dual_bruteforce(code)
 
+    def test_scan_matches_word_by_word_scan(self):
+        for alpha, beta in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (1, 4)):
+            seen = set()
+            for spec in iter_valid_specs(alpha, beta):
+                code = closure_of_spec(spec)
+                if code.basis in seen:
+                    continue
+                seen.add(code.basis)
+                assert dual_bruteforce(code).packed().tolist() == _dual_by_word_scan(code), spec
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            pytest.param(CodeSet.from_basis(2, 3, []), id="zero"),
+            pytest.param(CodeSet.from_basis(2, 3, [1 << i for i in range(8)]), id="full"),
+            # 14 orthogonality masks (two per basis vector) on 9 bits
+            pytest.param(
+                closure_of_spec(CodeSpec(3, 3, 1, P("1+x"), ZERO, P("1+x"))), id="rank-7"
+            ),
+            pytest.param(CodeSet.from_basis(3, 0, [0b111]), id="binary-repetition"),
+            pytest.param(CodeSet.from_basis(5, 0, [0b00011, 0b01100, 0b10101]), id="binary-5"),
+        ]
+        + [
+            pytest.param(gray_image(closure_of_spec(WORKED), layout), id=f"gray-{layout}")
+            for layout in LAYOUTS
+        ],
+    )
+    def test_edge_codes_match_word_by_word_scan(self, code):
+        assert dual_bruteforce(code).packed().tolist() == _dual_by_word_scan(code)
+
     def test_dual_constacyclic(self):
         for spec in list(iter_valid_specs(2, 3))[::5]:
             assert check_dual_constacyclic(closure_of_spec(spec))
+
+
+def _dual_by_word_scan(code):
+    """The dual by a plain scan: every ambient word, in ascending order,
+    against every basis vector, with the inner product
+    u * sum(a_i d_i) + sum(b_j e_j) written out over R."""
+    gens = [Codeword.from_packed(int(v), code.alpha, code.beta) for v in code.basis]
+
+    def orthogonal(c, d):
+        total = R_U if sum(x & y for x, y in zip(c.a, d.a)) & 1 else R_ZERO
+        for x, y in zip(c.b, d.b):
+            total = total + x * y
+        return total == R_ZERO
+
+    return [
+        w
+        for w in range(1 << (code.alpha + 2 * code.beta))
+        if all(orthogonal(Codeword.from_packed(w, code.alpha, code.beta), d) for d in gens)
+    ]
 
 
 class TestDegreeFormulas:
@@ -186,7 +237,9 @@ def _oracle_dual_doc(spec, dual, closures):
     }
 
 
-@pytest.mark.parametrize("alpha,beta", [(1, 1), (1, 3), (2, 3), (3, 3), (2, 6), (3, 5)])
+@pytest.mark.parametrize(
+    "alpha,beta", [(1, 1), (1, 3), (2, 3), (3, 3), (2, 6), (3, 5), (3, 7), (7, 3)]
+)
 def test_dual_report_matches_exhaustive_search(alpha, beta):
     specs = list(iter_valid_specs(alpha, beta))
     closures = [(cand, closure_of_spec(cand).basis) for cand in specs]
@@ -198,6 +251,13 @@ def test_dual_report_matches_exhaustive_search(alpha, beta):
         fallbacks += doc["observed_case"] not in (None, doc["stated_dual_case"])
     # Some duals fail the stated form and are recovered in another case.
     assert fallbacks > 0
+
+
+def test_recovery_honours_the_budget():
+    dual = dual_bruteforce(closure_of_spec(WORKED))
+    assert build_dual_report(WORKED, dual, 1 << 8).observed is not None
+    with pytest.raises(BudgetExceededError, match="exceeds budget 255"):
+        build_dual_report(WORKED, dual, (1 << 8) - 1)
 
 
 class TestSeparableDual:

@@ -1,0 +1,33 @@
+"""Property tests: the spec format round trip and the dual scan against
+the GF(2) kernel, on drawn inputs."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from z2ucodes.codewords import CodeSet, iter_valid_specs, parse_spec_text
+from z2ucodes.duality import dual_basis_linear, dual_bruteforce
+
+PAIRS = [(1, 1), (2, 3), (3, 3), (2, 6), (4, 2), (3, 5), (7, 3), (5, 4)]
+SPECS = [spec for pair in PAIRS for spec in iter_valid_specs(*pair)]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(SPECS))
+def test_spec_serialization_round_trips(spec):
+    assert parse_spec_text(spec.serialize()) == spec
+
+
+@st.composite
+def subgroups(draw):
+    """A random GF(2) subgroup of Z2^alpha x R^beta words, n <= 12, beta >= 0."""
+    beta = draw(st.integers(0, 6))
+    alpha = draw(st.integers(0 if beta else 1, 12 - 2 * beta))
+    n = alpha + 2 * beta
+    vectors = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 2))
+    return CodeSet.from_basis(alpha, beta, vectors)
+
+
+@settings(deadline=None)
+@given(subgroups())
+def test_dual_scan_matches_kernel(code):
+    assert dual_bruteforce(code) == dual_basis_linear(code)

@@ -3,9 +3,9 @@ from pathlib import Path
 import pytest
 
 from z2ucodes.gf2poly import ZERO, parse_poly
-from z2ucodes.codewords import CodeSpec
+from z2ucodes.codewords import BudgetExceededError, CodeSpec, closure_of_spec
 from z2ucodes.cli import search_doc
-from z2ucodes.report import render_json, render_text, verify_report
+from z2ucodes.report import _Rows, _type_checks, render_json, render_text, verify_report
 
 
 def P(text):
@@ -58,6 +58,15 @@ class TestVerifyReport:
         assert rows["Gray-route abar prediction"]["status"] == "pass"
         assert rows["Gray-route gbar prediction"]["status"] == "pass"
         assert rows["measured binary image parameters"]["detail"] == "[21,6,8]"
+
+    def test_type_checks_honour_the_budget(self):
+        # The extra closures (C_Y and the case-1 C_b generators) run at the
+        # caller's budget, not the default one.
+        spec = CodeSpec(2, 3, 1, P("1+x^2"), P("1+x"), P("1+x"))
+        code = closure_of_spec(spec)
+        _type_checks(_Rows(), spec, code, 1 << 8)
+        with pytest.raises(BudgetExceededError, match="exceeds budget 255"):
+            _type_checks(_Rows(), spec, code, (1 << 8) - 1)
 
     def test_renderers_are_pure(self):
         spec = CodeSpec(1, 1, 2, P("1+x"), ZERO, P("1"))
