@@ -143,7 +143,8 @@ def search_doc(alpha_max: int, beta_max: int, d_min: "int | None", budget: int) 
             ambient = 1 << (alpha + 2 * beta)
             if ambient > budget:
                 raise BudgetExceededError(
-                    f"(alpha={alpha}, beta={beta}) ambient {ambient} exceeds budget {budget}"
+                    f"(alpha={alpha}, beta={beta}) ambient 2^{alpha + 2 * beta} "
+                    f"exceeds budget {budget}"
                 )
             for spec in iter_valid_specs(alpha, beta):
                 code = closure_of_spec(spec, budget)

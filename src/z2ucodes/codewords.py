@@ -481,9 +481,17 @@ def parse_spec_text(text: str) -> CodeSpec:
 
     def integer(key: str) -> int:
         value = need(key)
-        if not value.isdigit() or int(value) < 1:
-            raise SpecParseError(f"{key} must be a positive integer, got {value!r}", lines[key])
-        return int(value)
+        # str.isdigit also accepts digits such as "²" that int() rejects.
+        if value.isascii() and value.isdigit():
+            try:
+                number = int(value)
+            except ValueError:  # more digits than int() converts
+                raise SpecParseError(
+                    f"{key} is too large ({len(value)} digits)", lines[key]
+                ) from None
+            if number >= 1:
+                return number
+        raise SpecParseError(f"{key} must be a positive integer, got {value!r}", lines[key])
 
     def poly(key: str) -> BinPoly:
         value = need(key)
@@ -629,7 +637,7 @@ def enumerate_closure(
     ambient = (1 << alpha) * (1 << (2 * beta))
     if ambient > budget:
         raise BudgetExceededError(
-            f"ambient size 2^{alpha}*4^{beta} = {ambient} exceeds budget {budget}; "
+            f"ambient size 2^{alpha}*4^{beta} = 2^{alpha + 2 * beta} exceeds budget {budget}; "
             "use smaller alpha/beta or raise the budget"
         )
     if any(g.alpha != alpha or g.beta != beta for g in generators):

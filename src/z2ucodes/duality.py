@@ -111,7 +111,7 @@ def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
     ambient = 1 << nbits
     if ambient > budget:
         raise BudgetExceededError(
-            f"ambient size {ambient} exceeds budget {budget}"
+            f"ambient size 2^{nbits} exceeds budget {budget}"
         )
     rows = _orthogonality_rows(code)
     low = nbits // 2

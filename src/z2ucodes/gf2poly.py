@@ -170,10 +170,16 @@ class BinPoly:
     def __str__(self):
         if self.bits == 0:
             return "0"
+        # Walk the set bits of the binary text from its end (x^0), so the
+        # cost stays linear in the degree.
+        digits = bin(self.bits)
+        top = len(digits) - 1
         terms = []
-        for i in range(self.bits.bit_length()):
-            if (self.bits >> i) & 1:
-                terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
+        pos = digits.rfind("1")
+        while pos >= 0:
+            i = top - pos
+            terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
+            pos = digits.rfind("1", 0, pos)
         return "+".join(terms)
 
     def __repr__(self):

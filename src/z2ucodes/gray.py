@@ -99,6 +99,24 @@ def lee_distance(c1: Codeword, c2: Codeword) -> int:
     return lee_weight(c1 + c2)
 
 
+def _popcount(v):
+    return v.bit_count() if isinstance(v, int) else np.bitwise_count(v)
+
+
+def lee_weight_packed(w, alpha: int, beta: int):
+    """Lee weight of a packed word, or elementwise of an int64 array.
+
+    Read from the symbol bits, not through the Gray map: one per set
+    binary bit, and for the symbol p + u*q one for p | q plus one more
+    for q & ~p, which gives 0, 1, 2, 1 for 0, 1, u, 1+u.
+    """
+    bmask = (1 << beta) - 1
+    a = w & ((1 << alpha) - 1)
+    p = (w >> alpha) & bmask
+    q = (w >> (alpha + beta)) & bmask
+    return _popcount(a) + _popcount(p | q) + _popcount(q & ~p)
+
+
 def gray_image(code: CodeSet, layout: str = "interleaved") -> CodeSet:
     """Image of the whole set: the binary code of length alpha + 2*beta
     spanned by the images of the basis."""

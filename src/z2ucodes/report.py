@@ -12,13 +12,14 @@ import json
 import math
 import random
 
+import numpy as np
+
 from .gf2poly import ZERO, poly_gcd
 from .ringr import AmbientElement, RPoly, RP_U, reduce_mod_xn_minus_1
 from .codewords import (
     DEFAULT_BUDGET,
     CodeSet,
     CodeSpec,
-    Codeword,
     cardinality_formula,
     closure_of_spec,
     enumerate_closure,
@@ -45,11 +46,11 @@ from .duality import (
 )
 from .gray import (
     LAYOUTS,
+    _gray_packed,
     gray_dimension_formula,
     gray_image,
-    gray_map,
     is_double_cyclic,
-    lee_distance,
+    lee_weight_packed,
     min_distance,
 )
 
@@ -294,17 +295,20 @@ def _gray_checks(
         rows.add(f"Gray image is linear ({layout})", "pass", f"dimension {images[layout].rank}")
     rng = random.Random(seed)
     nbits = spec.alpha + 2 * spec.beta
-    iso_ok = True
-    for _ in range(200):
-        w1 = rng.getrandbits(nbits)
-        w2 = rng.getrandbits(nbits)
-        c1 = Codeword.from_packed(w1, spec.alpha, spec.beta)
-        c2 = Codeword.from_packed(w2, spec.alpha, spec.beta)
-        dl = lee_distance(c1, c2)
-        for layout in LAYOUTS:
-            g1, g2 = gray_map(c1, layout), gray_map(c2, layout)
-            if dl != sum(b1 ^ b2 for b1, b2 in zip(g1.bits, g2.bits)):
-                iso_ok = False
+    # The dual scan has already checked that words fit an int64.
+    words = np.array([rng.getrandbits(nbits) for _ in range(400)], dtype=np.int64)
+    w1, w2 = words[0::2], words[1::2]
+    lee = lee_weight_packed(w1 ^ w2, spec.alpha, spec.beta)
+    iso_ok = all(
+        np.array_equal(
+            lee,
+            np.bitwise_count(
+                _gray_packed(w1, spec.alpha, spec.beta, layout)
+                ^ _gray_packed(w2, spec.alpha, spec.beta, layout)
+            ),
+        )
+        for layout in LAYOUTS
+    )
     rows.add(
         "Lee/Hamming isometry (seeded sample)",
         "pass" if iso_ok else "finding",

@@ -172,7 +172,7 @@ def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> in
     ambient = (1 << alpha) * (1 << (2 * beta))
     if ambient > budget:
         raise BudgetExceededError(
-            f"ambient size {ambient} exceeds census budget {budget}"
+            f"ambient size 2^{alpha + 2 * beta} exceeds census budget {budget}"
         )
     cyclic = sorted({closure_basis([w], alpha, beta) for w in range(1, ambient)})
     zero_key: tuple[int, ...] = ()

@@ -152,6 +152,37 @@ def test_length_below_one_exits_2(capsys, tmp_path, argv, name):
     assert "error" in err and name in err
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [("\u00b2", "must be a positive integer"), ("1" * 5000, "too large (5000 digits)")],
+    ids=["superscript-digit", "over-int-digit-limit"],
+)
+def test_spec_integer_that_int_rejects_exits_2(capsys, tmp_path, value, message):
+    path = tmp_path / "alpha.spec"
+    path.write_text(SPEC_TEXT.replace("alpha = 2", f"alpha = {value}"), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 1, column 1: alpha ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("command", ["verify", "census"])
+def test_huge_ambient_budget_error_exits_2(capsys, tmp_path, command):
+    # 2^100006 has more decimal digits than int-to-str conversion allows
+    path = tmp_path / "huge.spec"
+    path.write_text("alpha = 100000\nbeta = 3\ncase = 1\na = 1\nl = 0\ng = 1+x\n")
+    if command == "verify":
+        argv = ["verify", "--spec", str(path)]
+    else:
+        argv = ["census", "--alpha", "100000", "--beta", "3"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2^100006 exceeds" in err
+
+
 @pytest.mark.parametrize("kind", ["directory", "not-utf8", "missing"])
 def test_unreadable_spec_exits_2(capsys, tmp_path, kind):
     path = tmp_path / "unreadable.spec"

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -180,6 +181,30 @@ class TestTextGrammar:
         for text in ("", "y", "x^", "1+", "X"):
             with pytest.raises(PolyParseError):
                 parse_poly(text)
+
+
+def _str_by_shifts(bits):
+    """The text of a polynomial, one shift per coefficient."""
+    if bits == 0:
+        return "0"
+    terms = []
+    for i in range(bits.bit_length()):
+        if (bits >> i) & 1:
+            terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
+    return "+".join(terms)
+
+
+class TestStr:
+    def test_matches_shift_formula(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            bits = rng.getrandbits(rng.randint(0, 200))
+            assert str(BinPoly(bits)) == _str_by_shifts(bits)
+
+    def test_high_degree_monomial_is_fast(self):
+        start = time.perf_counter()
+        assert str(BinPoly(1 << 1_000_000)) == "x^1000000"
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDegreeMarker:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from z2ucodes.gf2poly import ZERO, parse_poly
@@ -23,6 +24,7 @@ from z2ucodes.gray import (
     is_double_cyclic,
     lee_distance,
     lee_weight,
+    lee_weight_packed,
     min_distance,
     self_dual_transfer,
 )
@@ -87,6 +89,25 @@ class TestLeeWeight:
                 for layout in ("interleaved", "block"):
                     g1, g2 = gray_map(c1, layout), gray_map(c2, layout)
                     assert dl == sum(b1 ^ b2 for b1, b2 in zip(g1.bits, g2.bits))
+
+
+class TestLeeWeightPacked:
+    """The packed Lee weight against the object path, `lee_weight`."""
+
+    @staticmethod
+    def _check(words, alpha, beta):
+        expected = [lee_weight(Codeword.from_packed(w, alpha, beta)) for w in words]
+        assert [lee_weight_packed(w, alpha, beta) for w in words] == expected
+        arr = lee_weight_packed(np.array(words, dtype=np.int64), alpha, beta)
+        assert arr.tolist() == expected
+
+    @pytest.mark.parametrize("alpha,beta", [(1, 1), (2, 2), (3, 2)])
+    def test_every_word(self, alpha, beta):
+        self._check(list(range(1 << (alpha + 2 * beta))), alpha, beta)
+
+    def test_seeded_words_at_7_7(self):
+        rng = random.Random(61)
+        self._check([rng.getrandbits(21) for _ in range(10_000)], 7, 7)
 
 
 class TestGrayImage:

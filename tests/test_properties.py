@@ -1,10 +1,18 @@
-"""Property tests: the spec format round trip and the dual scan against
-the GF(2) kernel, on drawn inputs."""
+"""Property tests: the spec format round trip, the spanning set against
+the closure oracle, and the dual scan against the GF(2) kernel, on drawn
+inputs."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2ucodes.codewords import CodeSet, iter_valid_specs, parse_spec_text
+from z2ucodes.codewords import (
+    CodeSet,
+    closure_of_spec,
+    iter_valid_specs,
+    parse_spec_text,
+    spanning_set,
+    spanning_span,
+)
 from z2ucodes.duality import dual_basis_linear, dual_bruteforce
 
 PAIRS = [(1, 1), (2, 3), (3, 3), (2, 6), (4, 2), (3, 5), (7, 3), (5, 4)]
@@ -15,6 +23,17 @@ SPECS = [spec for pair in PAIRS for spec in iter_valid_specs(*pair)]
 @given(st.sampled_from(SPECS))
 def test_spec_serialization_round_trips(spec):
     assert parse_spec_text(spec.serialize()) == spec
+
+
+@settings(deadline=None)
+@given(st.sampled_from(SPECS))
+def test_spanning_span_lies_in_the_closure(spec):
+    # In case 3 the span may be a strict subset: a recorded finding.
+    code = closure_of_spec(spec)
+    span = spanning_span(spanning_set(spec), spec.alpha, spec.beta)
+    assert all(code.contains_packed(v) for v in span.basis)
+    if spec.case in (1, 2):
+        assert span == code
 
 
 @st.composite

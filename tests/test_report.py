@@ -4,6 +4,7 @@ import pytest
 
 from z2ucodes.gf2poly import ZERO, parse_poly
 from z2ucodes.codewords import BudgetExceededError, CodeSpec, closure_of_spec
+from z2ucodes import report
 from z2ucodes.cli import search_doc
 from z2ucodes.report import _Rows, _type_checks, render_json, render_text, verify_report
 
@@ -67,6 +68,23 @@ class TestVerifyReport:
         _type_checks(_Rows(), spec, code, 1 << 8)
         with pytest.raises(BudgetExceededError, match="exceeds budget 255"):
             _type_checks(_Rows(), spec, code, (1 << 8) - 1)
+
+    @pytest.mark.parametrize("corrupted", ["interleaved", "block"])
+    def test_corrupted_gray_map_breaks_the_isometry_row(self, monkeypatch, corrupted):
+        spec = CodeSpec(2, 3, 1, P("1+x^2"), P("1+x"), P("1+x"))
+        check = "Lee/Hamming isometry (seeded sample)"
+        assert _rows_by_check(verify_report(spec))[check]["status"] == "pass"
+        gray = report._gray_packed
+
+        def flip_one_image_bit(w, alpha, beta, layout):
+            # image bit 0 also follows word bit 1, so the map is no isometry
+            flip = (w >> 1) & 1 if layout == corrupted else 0
+            return gray(w, alpha, beta, layout) ^ flip
+
+        monkeypatch.setattr(report, "_gray_packed", flip_one_image_bit)
+        row = _rows_by_check(verify_report(spec))[check]
+        assert row["status"] == "finding"
+        assert row["detail"] == "200 random pairs, both layouts"
 
     def test_renderers_are_pure(self):
         spec = CodeSpec(1, 1, 2, P("1+x"), ZERO, P("1"))
