@@ -46,15 +46,21 @@ def factor_doc(n: int) -> dict:
     return doc
 
 
+def _validated(doc: dict, spec: CodeSpec) -> bool:
+    """Record the spec's validity, and its violations if any, in doc."""
+    violations = validate_spec(spec)
+    doc["valid"] = not violations
+    if violations:
+        doc["violations"] = violations
+    return not violations
+
+
 def construct_doc(spec: CodeSpec, budget: int, emit_words: bool) -> dict:
     doc: dict = {
         "command": "construct",
         "spec": spec.serialize().strip().splitlines(),
     }
-    violations = validate_spec(spec)
-    doc["valid"] = not violations
-    if violations:
-        doc["violations"] = violations
+    if not _validated(doc, spec):
         return doc
     code = closure_of_spec(spec, budget)
     doc["size"] = len(code)
@@ -75,10 +81,7 @@ def params_doc(spec: CodeSpec, budget: int) -> dict:
         "command": "params",
         "spec": spec.serialize().strip().splitlines(),
     }
-    violations = validate_spec(spec)
-    doc["valid"] = not violations
-    if violations:
-        doc["violations"] = violations
+    if not _validated(doc, spec):
         return doc
     stated = type_from_formulas(spec)
     measured = type_from_enumeration(closure_of_spec(spec, budget))
@@ -98,10 +101,7 @@ def dual_doc(spec: CodeSpec, budget: int) -> dict:
         "command": "dual",
         "spec": spec.serialize().strip().splitlines(),
     }
-    violations = validate_spec(spec)
-    doc["valid"] = not violations
-    if violations:
-        doc["violations"] = violations
+    if not _validated(doc, spec):
         return doc
     dual = dual_bruteforce(closure_of_spec(spec, budget), budget)
     report = build_dual_report(spec, dual, budget)
@@ -115,10 +115,7 @@ def gray_doc(spec: CodeSpec, layout: str, budget: int) -> dict:
         "spec": spec.serialize().strip().splitlines(),
         "layout": layout,
     }
-    violations = validate_spec(spec)
-    doc["valid"] = not violations
-    if violations:
-        doc["violations"] = violations
+    if not _validated(doc, spec):
         return doc
     code = closure_of_spec(spec, budget)
     img = gray_image(code, layout)
@@ -140,12 +137,6 @@ def search_doc(alpha_max: int, beta_max: int, d_min: "int | None", budget: int) 
     distance_cache: dict = {}
     for alpha in range(1, alpha_max + 1):
         for beta in range(1, beta_max + 1):
-            ambient = 1 << (alpha + 2 * beta)
-            if ambient > budget:
-                raise BudgetExceededError(
-                    f"(alpha={alpha}, beta={beta}) ambient 2^{alpha + 2 * beta} "
-                    f"exceeds budget {budget}"
-                )
             for spec in iter_valid_specs(alpha, beta):
                 code = closure_of_spec(spec, budget)
                 if code.rank < 1:

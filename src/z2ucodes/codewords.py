@@ -77,6 +77,12 @@ class SpecParseError(ValueError):
         self.column = column
 
 
+def check_budget(nbits: int, budget: int) -> None:
+    """Refuse to enumerate an ambient space of 2^nbits words past the budget."""
+    if 1 << nbits > budget:
+        raise BudgetExceededError(f"ambient size 2^{nbits} exceeds budget {budget}")
+
+
 def check_word_width(nbits: int) -> None:
     """Refuse to materialise words wider than :data:`WORD_BITS`."""
     if nbits > WORD_BITS:
@@ -139,12 +145,19 @@ def basis_insert(basis: list[int], v: int) -> bool:
     return True
 
 
+def xor_table(vectors: Sequence[int]) -> np.ndarray:
+    """Entry i is the XOR of vectors[j] over the set bits j of i."""
+    table = np.zeros(1 << len(vectors), dtype=np.int64)
+    for j, v in enumerate(vectors):
+        half = 1 << j
+        np.bitwise_xor(table[:half], v, out=table[half : 2 * half])
+    return table
+
+
 def span_array(basis: Sequence[int], nbits: int) -> np.ndarray:
     """All XOR combinations of the basis of nbits-bit words, sorted ascending."""
     check_word_width(nbits)
-    arr = np.zeros(1, dtype=np.int64)
-    for b in basis:
-        arr = np.concatenate([arr, arr ^ b])
+    arr = xor_table(basis)
     arr.sort()
     return arr
 
@@ -427,10 +440,6 @@ class CodeSpec:
     def is_separable(self) -> bool:
         return self.l.is_zero()
 
-    def sort_key(self):
-        fbits = self.f.bits if self.f is not None else -1
-        return (self.alpha, self.beta, self.case, self.a.bits, self.g.bits, fbits, self.l.bits)
-
     def serialize(self) -> str:
         lines = [
             f"alpha = {self.alpha}",
@@ -547,6 +556,13 @@ def validate_spec(spec: CodeSpec) -> list[str]:
     return violations
 
 
+def require_valid(spec: CodeSpec) -> None:
+    """Raise :class:`SpecValidationError` unless the spec is valid."""
+    violations = validate_spec(spec)
+    if violations:
+        raise SpecValidationError(violations)
+
+
 @dataclass(frozen=True)
 class SpanningElement:
     """Spanning-set member with its scalar domain (2 or 4 multiples)."""
@@ -558,9 +574,7 @@ class SpanningElement:
 
 def spanning_set(spec: CodeSpec) -> list[SpanningElement]:
     """The stated minimal spanning family S1 u S2 u S3."""
-    violations = validate_spec(spec)
-    if violations:
-        raise SpecValidationError(violations)
+    require_valid(spec)
     alpha, beta = spec.alpha, spec.beta
     t1 = 0 if spec.a.is_zero() else spec.a.degree
     t2 = 0 if spec.g.is_zero() else spec.g.degree
@@ -634,12 +648,7 @@ def enumerate_closure(
     """Fixed-point closure of the generators under {+, x*, u*}."""
     if not generators:
         raise ValueError("at least one generator is required")
-    ambient = (1 << alpha) * (1 << (2 * beta))
-    if ambient > budget:
-        raise BudgetExceededError(
-            f"ambient size 2^{alpha}*4^{beta} = 2^{alpha + 2 * beta} exceeds budget {budget}; "
-            "use smaller alpha/beta or raise the budget"
-        )
+    check_budget(alpha + 2 * beta, budget)
     if any(g.alpha != alpha or g.beta != beta for g in generators):
         raise ValueError("generator lengths do not match alpha/beta")
     packed = [g.packed() for g in generators]

@@ -30,18 +30,18 @@ from .gf2poly import (
 from .ringr import RP_ZERO, AmbientElement, RElem, RPoly
 from .codewords import (
     DEFAULT_BUDGET,
-    BudgetExceededError,
     CodeSet,
     CodeSpec,
     Codeword,
-    SpecValidationError,
     basis_insert,
+    check_budget,
     check_word_width,
     closure_of_spec,
     is_constacyclic,
     iter_spec_families,
     reduce_against,
-    validate_spec,
+    require_valid,
+    xor_table,
     y_generator_of,
 )
 
@@ -86,11 +86,8 @@ def _orthogonality_rows(code: CodeSet) -> list[int]:
 def _syndrome_table(rows: Sequence[int], shift: int, nbits: int) -> np.ndarray:
     """Syndromes of the words h << shift for h in [0, 2^nbits): bit i of
     an entry is the parity of that word against rows[i]."""
-    table = np.zeros(1, dtype=np.int64)
-    for j in range(shift, shift + nbits):
-        column = sum(1 << i for i, r in enumerate(rows) if (r >> j) & 1)
-        table = np.concatenate([table, table ^ column])
-    return table
+    columns = range(shift, shift + nbits)
+    return xor_table([sum(1 << i for i, r in enumerate(rows) if (r >> j) & 1) for j in columns])
 
 
 def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
@@ -108,11 +105,7 @@ def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
     alpha, beta = code.alpha, code.beta
     nbits = alpha + 2 * beta
     check_word_width(nbits)
-    ambient = 1 << nbits
-    if ambient > budget:
-        raise BudgetExceededError(
-            f"ambient size 2^{nbits} exceeds budget {budget}"
-        )
+    check_budget(nbits, budget)
     rows = _orthogonality_rows(code)
     low = nbits // 2
     s_lo = _syndrome_table(rows, 0, low)
@@ -164,9 +157,7 @@ def dual_degree_formulas(spec: CodeSpec) -> DualDegrees:
     Negative values are possible on admissible inputs and are reported
     as-is; the brute-force dual is the ground truth.
     """
-    violations = validate_spec(spec)
-    if violations:
-        raise SpecValidationError(violations)
+    require_valid(spec)
     alpha, beta = spec.alpha, spec.beta
     da = spec.a.degree
     dg = spec.g.degree
@@ -421,9 +412,7 @@ def _exact_div(name: str, num: BinPoly, den: BinPoly) -> GrayRoutePrediction:
 
 def gray_route_dual(spec: CodeSpec) -> GrayRouteDual:
     """Dual generator predictions via the binary double-cyclic route."""
-    violations = validate_spec(spec)
-    if violations:
-        raise SpecValidationError(violations)
+    require_valid(spec)
     alpha, beta = spec.alpha, spec.beta
     xa = x_pow_n_minus_1(alpha)
     xb = x_pow_n_minus_1(beta)

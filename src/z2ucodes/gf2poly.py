@@ -71,13 +71,9 @@ class BinPoly:
 
     __slots__ = ("bits",)
 
-    def __init__(self, bits: "int | str | BinPoly" = 0):
-        if isinstance(bits, BinPoly):
-            bits = bits.bits
-        elif isinstance(bits, str):
-            bits = _parse_bits(bits)
-        elif not isinstance(bits, int) or bits < 0:
-            raise TypeError("BinPoly expects a nonnegative int, a grammar string, or a BinPoly")
+    def __init__(self, bits: int = 0):
+        if not isinstance(bits, int) or bits < 0:
+            raise TypeError("BinPoly expects a nonnegative int")
         object.__setattr__(self, "bits", bits)
 
     def __setattr__(self, name, value):
@@ -104,10 +100,6 @@ class BinPoly:
 
     def coeff(self, i: int) -> int:
         return (self.bits >> i) & 1
-
-    def weight(self) -> int:
-        """Number of nonzero coefficients."""
-        return bin(self.bits).count("1")
 
     def __add__(self, other: "BinPoly") -> "BinPoly":
         return BinPoly(self.bits ^ other.bits)
@@ -188,7 +180,6 @@ class BinPoly:
 
 ZERO = BinPoly(0)
 ONE = BinPoly(1)
-X = BinPoly(2)
 
 
 def _parse_bits(text: str) -> int:
@@ -208,9 +199,13 @@ def _parse_bits(text: str) -> int:
             bits ^= 2
         elif term.startswith("x^"):
             exp = term[2:]
-            if not exp.isdigit():
+            # str.isdigit also accepts digits such as "²" and "٣".
+            if not (exp.isascii() and exp.isdigit()):
                 raise PolyParseError(f"bad exponent {exp!r}", pos + 3)
-            bits ^= 1 << int(exp)
+            try:
+                bits ^= 1 << int(exp)
+            except ValueError:  # more digits than int() converts
+                raise PolyParseError(f"bad exponent ({len(exp)} digits)", pos + 3) from None
         else:
             raise PolyParseError(f"bad term {term!r}", pos + 1)
         pos += len(term) + 1
@@ -253,17 +248,20 @@ def poly_gcd(a: BinPoly, b: BinPoly) -> BinPoly:
     return BinPoly(x)
 
 
+def bit_reverse(value: int, n: int) -> int:
+    """The low n bits of value in reverse order."""
+    out = 0
+    for i in range(n):
+        if (value >> i) & 1:
+            out |= 1 << (n - 1 - i)
+    return out
+
+
 def reciprocal(p: BinPoly) -> BinPoly:
     """Reciprocal polynomial p*(x) = x^deg(p) * p(1/x)."""
     if p.is_zero():
         raise ValueError("reciprocal of the zero polynomial is undefined")
-    bits = p.bits
-    n = bits.bit_length()
-    rev = 0
-    for i in range(n):
-        if (bits >> i) & 1:
-            rev |= 1 << (n - 1 - i)
-    return BinPoly(rev)
+    return BinPoly(bit_reverse(p.bits, p.bits.bit_length()))
 
 
 @dataclass(frozen=True)

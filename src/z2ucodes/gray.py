@@ -18,15 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gf2poly import bit_reverse
 from .ringr import RElem
-from .codewords import (
-    DEFAULT_BUDGET,
-    CodeSet,
-    CodeSpec,
-    Codeword,
-    SpecValidationError,
-    validate_spec,
-)
+from .codewords import DEFAULT_BUDGET, CodeSet, CodeSpec, Codeword, require_valid
 from .duality import dual_bruteforce
 
 LAYOUTS = ("interleaved", "block")
@@ -46,9 +40,6 @@ class BinaryWord:
 
     def __len__(self) -> int:
         return len(self.bits)
-
-    def weight(self) -> int:
-        return sum(self.bits)
 
     def __str__(self):
         return "".join(map(str, self.bits))
@@ -161,9 +152,7 @@ def is_double_cyclic(bcode: CodeSet, alpha: int, two_beta: int) -> bool:
 
 def gray_dimension_formula(spec: CodeSpec) -> int:
     """Predicted binary image dimension from the generator degrees."""
-    violations = validate_spec(spec)
-    if violations:
-        raise SpecValidationError(violations)
+    require_valid(spec)
     n = spec.alpha + 2 * spec.beta
     da = spec.a.degree
     if spec.case == 1:
@@ -203,14 +192,6 @@ def self_dual_transfer(code: CodeSet, budget: int = DEFAULT_BUDGET) -> SelfDualT
         if self_dual:
             image_self[layout] = img == dual_of_img
     return SelfDualTransferReport(equal, self_dual, image_self if self_dual else None)
-
-
-def bit_reverse(value: int, n: int) -> int:
-    out = 0
-    for i in range(n):
-        if (value >> i) & 1:
-            out |= 1 << (n - 1 - i)
-    return out
 
 
 def format_binary_code(bcode: CodeSet, layout: str, d: "int | None" = None) -> str:

@@ -3,14 +3,11 @@ Z2[x]/(x^a - 1) and R[x]/(x^b - 1 - u) forming the ambient module.
 
 An R[x] element p(x) + u*q(x) is stored as two GF(2) polynomials so the
 bit-packed fast paths of :mod:`z2ucodes.gf2poly` are reused everywhere.
-
-Text grammar extension for R[x]: terms may carry the coefficient prefixes
-``u*`` or ``(1+u)*``, e.g. ``(1+u)+u*x+x^2``.
 """
 
 from __future__ import annotations
 
-from .gf2poly import BinPoly, MINUS_INF, PolyParseError, _parse_bits
+from .gf2poly import BinPoly, MINUS_INF
 
 
 class RElem:
@@ -69,17 +66,12 @@ R_ONE_U = RElem(1, 1)
 RELEMS = (R_ZERO, R_ONE, R_U, R_ONE_U)
 
 
-def relem_mul(a: RElem, b: RElem) -> RElem:
-    """Ring product in R."""
-    return a * b
-
-
 class RPoly:
     """Polynomial over R written p(x) + u*q(x)."""
 
     __slots__ = ("p", "q")
 
-    def __init__(self, p: "BinPoly | int | str" = 0, q: "BinPoly | int | str" = 0):
+    def __init__(self, p: "BinPoly | int" = 0, q: "BinPoly | int" = 0):
         object.__setattr__(self, "p", p if isinstance(p, BinPoly) else BinPoly(p))
         object.__setattr__(self, "q", q if isinstance(q, BinPoly) else BinPoly(q))
 
@@ -115,9 +107,6 @@ class RPoly:
     def __mul__(self, other: "RPoly") -> "RPoly":
         return RPoly(self.p * other.p, self.p * other.q + self.q * other.p)
 
-    def scale(self, r: RElem) -> "RPoly":
-        return self * RPoly(BinPoly(r.p), BinPoly(r.q))
-
     def __eq__(self, other):
         return isinstance(other, RPoly) and self.p == other.p and self.q == other.q
 
@@ -152,54 +141,6 @@ class RPoly:
 
 RP_ZERO = RPoly()
 RP_U = RPoly(0, 1)
-
-
-def parse_rpoly(text: str) -> RPoly:
-    """Parse the R[x] grammar, e.g. ``(1+u)+u*x+x^2``."""
-    stripped = "".join(text.split())
-    if not stripped:
-        raise PolyParseError("empty polynomial", 1)
-    if stripped == "0":
-        return RP_ZERO
-    # Split on '+' at parenthesis depth 0 so "(1+u)" stays one token.
-    terms = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(stripped):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "+" and depth == 0:
-            terms.append((start, stripped[start:i]))
-            start = i + 1
-    terms.append((start, stripped[start:]))
-    p = 0
-    q = 0
-    for col, term in terms:
-        if not term:
-            raise PolyParseError("empty term", col + 1)
-        coef = R_ONE
-        mono = term
-        if term.startswith("u*"):
-            coef, mono = R_U, term[2:]
-        elif term.startswith("(1+u)*"):
-            coef, mono = R_ONE_U, term[6:]
-        elif term == "u":
-            coef, mono = R_U, "1"
-        elif term == "(1+u)":
-            coef, mono = R_ONE_U, "1"
-        try:
-            mbits = _parse_bits(mono)
-        except PolyParseError as exc:
-            raise PolyParseError(f"bad term {term!r}", col + 1) from exc
-        if mbits == 0 or mbits & (mbits - 1):
-            raise PolyParseError(f"term {term!r} is not a single power of x", col + 1)
-        if coef.p:
-            p ^= mbits
-        if coef.q:
-            q ^= mbits
-    return RPoly(BinPoly(p), BinPoly(q))
 
 
 def bar_reduce(d: RPoly) -> BinPoly:

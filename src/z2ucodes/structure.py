@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from .gf2poly import BinPoly, cyclotomic_class_count, poly_gcd, x_pow_n_minus_1
 from .codewords import (
     CENSUS_BUDGET,
-    BudgetExceededError,
     CodeSet,
     CodeSpec,
-    SpecValidationError,
     basis_insert,
+    check_budget,
     closure_basis,
-    validate_spec,
+    require_valid,
 )
 
 
@@ -93,9 +92,7 @@ def cb_dimension(code: CodeSet) -> int:
 
 def type_from_formulas(spec: CodeSpec) -> CodeType:
     """Type parameters from the closed-form degree expressions."""
-    violations = validate_spec(spec)
-    if violations:
-        raise SpecValidationError(violations)
+    require_valid(spec)
     alpha, beta = spec.alpha, spec.beta
     da = spec.a.degree
     dg = spec.g.degree
@@ -169,12 +166,9 @@ def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> in
     reached because it is the sum of the cyclic submodules of its
     elements.  No counting formula is consulted.
     """
-    ambient = (1 << alpha) * (1 << (2 * beta))
-    if ambient > budget:
-        raise BudgetExceededError(
-            f"ambient size 2^{alpha + 2 * beta} exceeds census budget {budget}"
-        )
-    cyclic = sorted({closure_basis([w], alpha, beta) for w in range(1, ambient)})
+    nbits = alpha + 2 * beta
+    check_budget(nbits, budget)
+    cyclic = sorted({closure_basis([w], alpha, beta) for w in range(1, 1 << nbits)})
     zero_key: tuple[int, ...] = ()
     seen = {zero_key}
     worklist = [zero_key]
@@ -194,21 +188,12 @@ def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> in
 
 
 def cyclic_code_from_generator(gen: BinPoly, n: int) -> CodeSet:
-    """Binary cyclic code of length n generated by gen (may be zero)."""
-    from .gf2poly import poly_divmod
+    """Binary cyclic code of length n generated by gen (may be zero).
 
-    if gen.is_zero():
-        return CodeSet.from_basis(n, 0, [])
-    reduced = poly_divmod(gen, x_pow_n_minus_1(n))[1]
-    vectors = []
-    bits = reduced.bits
-    mask = (1 << n) - 1
-    for _ in range(n):
-        vectors.append(bits)
-        bits <<= 1
-        if bits >> n:
-            bits = (bits & mask) ^ (bits >> n)
-    return CodeSet.from_basis(n, 0, vectors)
+    At beta = 0 the closure's shift is the n-bit rotation and its
+    u-multiple is 0, so the closure of gen is the cyclic code.
+    """
+    return CodeSet(n, 0, closure_basis([(gen % x_pow_n_minus_1(n)).bits], n, 0))
 
 
 def census_table(

@@ -183,6 +183,29 @@ def test_huge_ambient_budget_error_exits_2(capsys, tmp_path, command):
     assert "2^100006 exceeds" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct"],
+        ["params"],
+        ["dual"],
+        ["gray"],
+        ["verify"],
+        ["census", "--alpha", "2", "--beta", "3"],
+        ["search", "--alpha-max", "2", "--beta-max", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_budget_below_the_ambient_size_exits_2(capsys, spec_file, argv):
+    # Every command refuses a (2, 3) ambient of 2^8 words with one message.
+    if len(argv) == 1:
+        argv = argv + ["--spec", spec_file]
+    code, out, err = run_cli(capsys, *argv, "--budget", "255")
+    assert code == 2
+    assert out == ""
+    assert err == "error: ambient size 2^8 exceeds budget 255\n"
+
+
 @pytest.mark.parametrize("kind", ["directory", "not-utf8", "missing"])
 def test_unreadable_spec_exits_2(capsys, tmp_path, kind):
     path = tmp_path / "unreadable.spec"

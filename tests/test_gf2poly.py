@@ -178,9 +178,20 @@ class TestTextGrammar:
         assert parse_poly(" 1 + x + x^3 ") == P("1+x+x^3")
 
     def test_bad_terms(self):
-        for text in ("", "y", "x^", "1+", "X"):
+        # Superscript, Arabic-Indic and fullwidth digits pass str.isdigit.
+        for text in ("", "y", "x^", "1+", "X", "x^\u00b2", "x^\u0663", "x^\uff10", "x^" + "1" * 5000):
             with pytest.raises(PolyParseError):
                 parse_poly(text)
+
+    @pytest.mark.parametrize(
+        "exp",
+        ["\u00b2", "\u0663", "\uff10", "1" * 5000],
+        ids=["superscript", "arabic-indic", "fullwidth", "5000-digits"],
+    )
+    def test_bad_exponent_names_its_column(self, exp):
+        with pytest.raises(PolyParseError, match="^column 5: bad exponent") as info:
+            parse_poly("1+x^" + exp)
+        assert info.value.column == 5
 
 
 def _str_by_shifts(bits):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from z2ucodes.gf2poly import ZERO, parse_poly
+from z2ucodes.gf2poly import ZERO, BinPoly, parse_poly
 from z2ucodes.codewords import (
     CodeSet,
     CodeSpec,
@@ -63,6 +63,22 @@ class TestPunctures:
         full = CodeSet.from_basis(1, 1, [1, 2, 4])
         cb = subcode_cb(full)
         assert len(cb) == 4  # Z2^alpha x {0,u}^beta
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_cyclic_code_matches_rotations_of_the_generator(n):
+    # Reference: the span of the n rotations of gen mod x^n-1.
+    mask = (1 << n) - 1
+    for bits in range(1 << (n + 2)):
+        word = bits
+        while word >> n:
+            word = (word & mask) ^ (word >> n)
+        vectors = []
+        for _ in range(n):
+            vectors.append(word)
+            word = ((word << 1) & mask) | (word >> (n - 1))
+        expected = CodeSet.from_basis(n, 0, vectors)
+        assert cyclic_code_from_generator(BinPoly(bits), n) == expected, bits
 
 
 class TestTypes:
