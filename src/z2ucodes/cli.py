@@ -9,6 +9,7 @@ with status 2 and a line/column diagnostic.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .gf2poly import factor, cyclotomic_class_count, x_pow_n_minus_1
@@ -232,6 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parse_args keeps
+    no state between calls."""
+    return build_parser()
+
+
 def _run(args: argparse.Namespace) -> dict:
     budget = args.budget if args.budget is not None else DEFAULT_BUDGET
     if args.command == "factor":
@@ -256,8 +264,7 @@ def _run(args: argparse.Namespace) -> dict:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         doc = _run(args)
     except (SpecParseError, BudgetExceededError, OSError, UnicodeDecodeError) as exc:

@@ -28,7 +28,6 @@ from .gf2poly import (
     ONE,
     ZERO,
     BinPoly,
-    MINUS_INF,
     parse_poly,
     poly_divmod,
     poly_gcd,
@@ -679,34 +678,21 @@ def contains(code: CodeSet, c: Codeword) -> bool:
 # sweeping the valid spec space
 
 
-def _l_candidates(a: BinPoly, window: BinPoly) -> Iterator[BinPoly]:
-    """All l with deg(l) < deg(a) and a | window*l, in deterministic order.
-
-    a | window*l is equivalent to (a / gcd(a, window)) | l, so the valid
-    l are exactly the multiples of that quotient below deg(a).
-    """
-    if a.is_zero():
-        yield ZERO
-        return
-    if window.is_zero():
-        free = 0 if a.degree is MINUS_INF else a.degree
-        for mbits in range(1 << free):
-            yield BinPoly(mbits)
-        return
-    base = a // poly_gcd(a, window)
-    free = a.degree - base.degree
-    for mbits in range(1 << free):
-        yield BinPoly(mbits) * base
+def l_base(a: BinPoly, window: BinPoly) -> BinPoly:
+    """a / gcd(a, window): a | window*l exactly when this base divides l."""
+    return a // poly_gcd(a, window)
 
 
 def iter_spec_families(
     alpha: int, beta: int, case: int
-) -> Iterator[tuple[BinPoly, BinPoly, "BinPoly | None", Iterator[BinPoly]]]:
-    """(a, g, f, l candidates) of every valid spec of one case, in sweep order.
+) -> Iterator[tuple[BinPoly, BinPoly, "BinPoly | None", BinPoly]]:
+    """(a, g, f, window) of every valid spec family of one case, in sweep order.
 
-    The l candidates are a lazy iterator, so a caller that rejects a
-    family from (a, g, f) alone never generates them.  Case 3 iterates
-    f != 1 only; an f of 1 reproduces a case-1 spec.
+    The family's valid l are those with deg(l) < deg(a) and a | window*l:
+    the m * l_base(a, window) with deg(m) < deg(a) - deg(base), in the
+    order of m's bit pattern.  The window is x^beta-1, or (x^beta-1)/g in
+    case 2.  Case 3 iterates f != 1 only; an f of 1 reproduces a case-1
+    spec.
     """
     xb = x_pow_n_minus_1(beta)
     divs_a = divisors_of_xn_minus_1(alpha)
@@ -718,20 +704,22 @@ def iter_spec_families(
             for g in divs_b:
                 if f.divides(g):
                     for a in divs_a:
-                        yield a, g, f, _l_candidates(a, xb)
+                        yield a, g, f, xb
         return
     for a in divs_a:
         for g in divs_b:
-            yield a, g, None, _l_candidates(a, xb if case == 1 else xb // g)
+            yield a, g, None, xb if case == 1 else xb // g
 
 
 def iter_valid_specs(
     alpha: int, beta: int, cases: Sequence[int] = (1, 2, 3)
 ) -> Iterator[CodeSpec]:
     """Every valid CodeSpec for the given lengths, in deterministic order:
-    case by case, then family by family of :func:`iter_spec_families`."""
+    case by case, then family by family of :func:`iter_spec_families`,
+    then l by l."""
     for case in (1, 2, 3):
         if case in cases:
-            for a, g, f, ls in iter_spec_families(alpha, beta, case):
-                for l in ls:
-                    yield CodeSpec(alpha, beta, case, a, l, g, f)
+            for a, g, f, window in iter_spec_families(alpha, beta, case):
+                base = l_base(a, window)
+                for mbits in range(1 << (a.degree - base.degree)):
+                    yield CodeSpec(alpha, beta, case, a, BinPoly(mbits) * base, g, f)

@@ -5,9 +5,11 @@ Orthogonality of a scanned word w against a fixed codeword d reduces to
 two GF(2) parity conditions on w (the free part and the u part of the
 inner product).  The brute-force dual folds these conditions into an
 independent set, so that a word's syndrome (one parity per condition)
-is a linear function of it, and scans the ambient space as a table of
-high-half syndromes against a table of low-half syndromes: w lies in
-the dual exactly when the two halves' syndromes cancel.
+is a linear function of it, and splits the ambient space into a table
+of high-half syndromes and a table of low-half syndromes: w lies in the
+dual exactly when the two halves' syndromes cancel.  The two tables are
+joined on equal syndromes, so the scan costs what the half tables and
+the dual cost, not what the ambient space costs.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .codewords import (
     closure_of_spec,
     is_constacyclic,
     iter_spec_families,
+    l_base,
     reduce_against,
     require_valid,
     xor_table,
@@ -90,6 +93,26 @@ def _syndrome_table(rows: Sequence[int], shift: int, nbits: int) -> np.ndarray:
     return xor_table([sum(1 << i for i, r in enumerate(rows) if (r >> j) & 1) for j in columns])
 
 
+def _syndrome_join(s_hi: np.ndarray, s_lo: np.ndarray, low: int) -> np.ndarray:
+    """(hi << low) | lo for every pair with s_hi[hi] == s_lo[lo], ascending.
+
+    The low table is sorted once (stably, so equal syndromes keep their
+    lo order); each hi's partners are then one run of it, found by two
+    binary searches, and the runs are written out hi by hi.
+    """
+    order = np.argsort(s_lo, kind="stable")
+    sorted_lo = s_lo[order]
+    first = np.searchsorted(sorted_lo, s_hi, side="left")
+    counts = np.searchsorted(sorted_lo, s_hi, side="right") - first
+    # Word k of hi's run sits at start[hi] + k; its low half is order[first[hi] + k].
+    start = np.cumsum(counts) - counts
+    words = np.repeat(first - start, counts)
+    words += np.arange(len(words))
+    np.take(order, words, out=words)
+    words |= np.repeat(np.arange(len(s_hi)) << low, counts)
+    return words
+
+
 def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
     """All ambient elements orthogonal to every codeword.
 
@@ -97,10 +120,11 @@ def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
     generator contributes two parity conditions, folded into at most
     n = alpha + 2*beta independent rows, so a syndrome fits in an int64.
     The syndrome is linear, so the word hi|lo is in the dual exactly when
-    S_hi[hi] == S_lo[lo]: every ambient word is tested, as one outer
-    comparison of the two half tables.  At beta = 0 the u-part condition
-    is the mod-2 dot product and the free part is empty, so this is the
-    dual of a binary code.
+    S_hi[hi] == S_lo[lo]: the dual is the equi-join of the two half
+    tables, and every ambient word is decided without a kernel or pivot
+    computation.  At beta = 0 the u-part condition is the mod-2 dot
+    product and the free part is empty, so this is the dual of a binary
+    code.
     """
     alpha, beta = code.alpha, code.beta
     nbits = alpha + 2 * beta
@@ -110,8 +134,7 @@ def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
     low = nbits // 2
     s_lo = _syndrome_table(rows, 0, low)
     s_hi = _syndrome_table(rows, low, nbits - low)
-    words = np.flatnonzero(s_hi[:, None] == s_lo[None, :])
-    return CodeSet.from_packed_words(alpha, beta, words)
+    return CodeSet.from_packed_words(alpha, beta, _syndrome_join(s_hi, s_lo, low))
 
 
 def dual_basis_linear(code: CodeSet) -> CodeSet:
@@ -238,8 +261,11 @@ def recover_spec(
     so only those candidates are closed; the filter is a necessary
     condition and leaves the search's answer unchanged.  Reduction
     against the dual's RREF basis is linear, so (a, 0) lies in the dual
-    iff its remainder is 0, and (l, y) iff rem(l, 0) == rem(0, y); each
-    remainder is computed once per distinct a, l and y.
+    iff its remainder is 0, and (l, y) iff rem(l, 0) == rem(0, y).  A
+    family's l are m*base with deg(m) < free, so rem(m*base, 0) is the
+    XOR of rem(x^i*base, 0) over the set bits i of m: one XOR table of
+    the free rows decides every l of the family, and the passing m are
+    closed in ascending order, the sweep order.
     """
     alpha, beta = dual.alpha, dual.beta
     first_rems: dict[int, int] = {}
@@ -248,23 +274,25 @@ def recover_spec(
     def rem(first: BinPoly, second: RPoly) -> int:
         return reduce_against(AmbientElement(first, second, alpha, beta).packed(), dual.basis)
 
-    def first_rem(p: BinPoly) -> int:
-        if p.bits not in first_rems:
-            first_rems[p.bits] = rem(p, RP_ZERO)
-        return first_rems[p.bits]
+    def first_rem(bits: int) -> int:
+        if bits not in first_rems:
+            first_rems[bits] = rem(BinPoly(bits), RP_ZERO)
+        return first_rems[bits]
 
     for case in cases:
-        for a, g, f, ls in iter_spec_families(alpha, beta, case):
-            if first_rem(a):
+        for a, g, f, window in iter_spec_families(alpha, beta, case):
+            if first_rem(a.bits):
                 continue
             y = y_generator_of(case, g, f)
             if y not in y_rems:
                 y_rems[y] = rem(ZERO, y)
-            for l in ls:
-                if first_rem(l) == y_rems[y]:
-                    cand = CodeSpec(alpha, beta, case, a, l, g, f)
-                    if closure_of_spec(cand, budget).basis == dual.basis:
-                        return cand
+            base = l_base(a, window)
+            free = a.degree - base.degree
+            table = xor_table([first_rem(base.bits << i) for i in range(free)])
+            for mbits in np.flatnonzero(table == y_rems[y]).tolist():
+                cand = CodeSpec(alpha, beta, case, a, BinPoly(mbits) * base, g, f)
+                if closure_of_spec(cand, budget).basis == dual.basis:
+                    return cand
     return None
 
 

@@ -11,7 +11,8 @@ The degree of the zero polynomial is the distinguished marker
 degree comparisons are total.
 
 Text grammar (shared project-wide): terms ``1``, ``x``, ``x^K`` joined by
-``+``; whitespace is ignored; ``0`` denotes the zero polynomial.
+``+``; whitespace is ignored; ``0`` denotes the zero polynomial.  An
+exponent K is ASCII digits and at most :data:`MAX_EXPONENT`.
 Serialization emits ascending powers, e.g. ``1+x+x^3``.
 """
 
@@ -56,6 +57,10 @@ class _MinusInfinity:
 
 
 MINUS_INF = _MinusInfinity()
+
+# The largest exponent the text grammar accepts: x^K is a (K+1)-bit
+# integer, so the bound keeps one parsed term at 2 MB.
+MAX_EXPONENT = 1 << 24
 
 
 class PolyParseError(ValueError):
@@ -203,9 +208,12 @@ def _parse_bits(text: str) -> int:
             if not (exp.isascii() and exp.isdigit()):
                 raise PolyParseError(f"bad exponent {exp!r}", pos + 3)
             try:
-                bits ^= 1 << int(exp)
+                k = int(exp)
             except ValueError:  # more digits than int() converts
                 raise PolyParseError(f"bad exponent ({len(exp)} digits)", pos + 3) from None
+            if k > MAX_EXPONENT:
+                raise PolyParseError(f"exponent exceeds the limit {MAX_EXPONENT}", pos + 3)
+            bits ^= 1 << k
         else:
             raise PolyParseError(f"bad term {term!r}", pos + 1)
         pos += len(term) + 1

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from z2ucodes import cli, gf2poly
 from z2ucodes.cli import main
 from z2ucodes.report import render_json, render_text
 
@@ -206,6 +207,20 @@ def test_budget_below_the_ambient_size_exits_2(capsys, spec_file, argv):
     assert err == "error: ambient size 2^8 exceeds budget 255\n"
 
 
+def test_exponent_above_the_limit_exits_2(capsys, tmp_path, monkeypatch):
+    # A small limit keeps the unrefused polynomial cheap if the bound fails.
+    monkeypatch.setattr(gf2poly, "MAX_EXPONENT", 100)
+    path = tmp_path / "exponent.spec"
+    path.write_text(SPEC_TEXT.replace("a = 1+x^2", "a = 1+x^101"))
+    code, out, err = run_cli(capsys, "verify", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: line 4, column 1: bad polynomial for 'a': "
+        "column 5: exponent exceeds the limit 100\n"
+    )
+
+
 @pytest.mark.parametrize("kind", ["directory", "not-utf8", "missing"])
 def test_unreadable_spec_exits_2(capsys, tmp_path, kind):
     path = tmp_path / "unreadable.spec"
@@ -277,3 +292,26 @@ class TestDeterminismAndParity:
         doc = json.loads(json_out)
         assert render_json(doc) == json_out
         assert render_text(doc) == render_text(json.loads(render_json(doc)))
+
+
+def test_one_parser_serves_every_call(capsys, spec_file):
+    # Calls in one process, sharing the parser, print what a fresh parser does.
+    argvs = [
+        ["construct", "--spec", spec_file, "--emit-words"],
+        ["construct", "--spec", spec_file],
+        ["gray", "--spec", spec_file, "--layout", "interleaved"],
+        ["gray", "--spec", spec_file],
+        ["factor", "--n", "0"],
+        ["verify", "--spec", spec_file, "--seed", "5", "--format", "json"],
+        ["verify", "--spec", spec_file],
+        ["census", "--alpha", "2", "--beta", "1", "--budget", "64"],
+        ["census", "--alpha", "2", "--beta", "1"],
+        ["factor", "--n", "7", "--format", "json"],
+        ["factor", "--n", "7"],
+    ]
+    cli._parser.cache_clear()
+    shared = [run_cli(capsys, *argv) for argv in argvs]
+    assert cli._parser.cache_info().misses == 1
+    for argv, result in zip(argvs, shared):
+        cli._parser.cache_clear()
+        assert run_cli(capsys, *argv) == result, argv

@@ -1,9 +1,14 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from z2ucodes.gf2poly import ZERO, BinPoly, parse_poly, reciprocal, x_pow_n_minus_1
-from z2ucodes.ringr import R_ONE, R_U, R_ZERO
+from z2ucodes.ringr import R_ONE, R_U, R_ZERO, RP_ZERO, AmbientElement
+from z2ucodes import duality
 from z2ucodes.codewords import (
     BudgetExceededError,
     CodeSet,
@@ -11,11 +16,15 @@ from z2ucodes.codewords import (
     Codeword,
     closure_of_spec,
     iter_valid_specs,
+    reduce_against,
     shift,
 )
 from z2ucodes.gray import LAYOUTS, gray_image
 from z2ucodes.duality import (
     DualDegrees,
+    _orthogonality_rows,
+    _syndrome_join,
+    _syndrome_table,
     build_dual_report,
     check_dual_constacyclic,
     dual_basis_linear,
@@ -24,6 +33,7 @@ from z2ucodes.duality import (
     eta_pair,
     gray_route_dual,
     inner_product,
+    recover_spec,
     separable_dual,
 )
 
@@ -155,6 +165,111 @@ def _dual_by_word_scan(code):
         for w in range(1 << (code.alpha + 2 * code.beta))
         if all(orthogonal(Codeword.from_packed(w, code.alpha, code.beta), d) for d in gens)
     ]
+
+
+def _half_tables(code):
+    """The high and low half syndrome tables of the dual scan, and the
+    low half's width."""
+    rows = _orthogonality_rows(code)
+    low = code.n // 2
+    return _syndrome_table(rows, low, code.n - low), _syndrome_table(rows, 0, low), low
+
+
+def _join_by_outer_comparison(s_hi, s_lo):
+    """The former scan: one outer comparison of the two half tables, read
+    in row-major order, so word hi|lo sits at flat index hi * len(s_lo) + lo."""
+    return np.flatnonzero(s_hi[:, None] == s_lo[None, :])
+
+
+@st.composite
+def subgroups(draw):
+    """A random GF(2) subgroup of Z2^alpha x R^beta words, n <= 14, beta >= 0."""
+    beta = draw(st.integers(0, 7))
+    alpha = draw(st.integers(0 if beta else 1, 14 - 2 * beta))
+    n = alpha + 2 * beta
+    vectors = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 2))
+    return CodeSet.from_basis(alpha, beta, vectors)
+
+
+@settings(deadline=None, max_examples=200)
+@given(subgroups())
+@example(CodeSet.from_basis(3, 5, []))  # zero code: the dual is the ambient space
+@example(CodeSet.from_basis(3, 5, [1 << i for i in range(13)]))  # full code: dual {0}
+@example(CodeSet.from_basis(14, 0, [0b11, 0b1100, 0b10101010101011]))  # binary, even n
+@example(CodeSet.from_basis(13, 0, [0b1111111111111]))  # binary, odd n
+@example(closure_of_spec(CodeSpec(1, 3, 1, P("1"), ZERO, P("1+x"))))  # odd n = 7
+def test_join_matches_outer_comparison(code):
+    s_hi, s_lo, low = _half_tables(code)
+    words = _syndrome_join(s_hi, s_lo, low)
+    assert words.tolist() == _join_by_outer_comparison(s_hi, s_lo).tolist()
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda low: st.tuples(
+            st.just(low),
+            st.lists(st.integers(0, 3), min_size=1, max_size=40),
+            st.lists(st.integers(0, 3), min_size=1, max_size=1 << low),
+        )
+    )
+)
+def test_join_of_arbitrary_tables_matches_outer_comparison(drawn):
+    # Tables with many repeated syndromes and lengths that are no powers of two.
+    low, s_hi, s_lo = drawn
+    s_hi, s_lo = np.array(s_hi, dtype=np.int64), np.array(s_lo, dtype=np.int64)
+    flat = _join_by_outer_comparison(s_hi, s_lo)
+    expected = [(i // len(s_lo)) << low | i % len(s_lo) for i in flat.tolist()]
+    assert _syndrome_join(s_hi, s_lo, low).tolist() == expected
+
+
+def _recover_by_candidate_loop(dual, cases, close):
+    """The former recovery: every valid spec in sweep order, case by case,
+    tested one by one for both generators lying in the dual, and closed
+    with ``close`` only if they do."""
+    alpha, beta = dual.alpha, dual.beta
+
+    def rem(first, second):
+        return reduce_against(AmbientElement(first, second, alpha, beta).packed(), dual.basis)
+
+    for case in cases:
+        for cand in iter_valid_specs(alpha, beta, (case,)):
+            if rem(cand.a, RP_ZERO) or rem(cand.l, RP_ZERO) != rem(ZERO, cand.y_generator()):
+                continue
+            if close(cand).basis == dual.basis:
+                return cand
+    return None
+
+
+@pytest.mark.parametrize("alpha,beta", [(1, 1), (1, 3), (2, 3), (3, 3), (2, 6), (3, 5)])
+def test_recovery_closes_the_candidates_of_the_candidate_loop(alpha, beta, monkeypatch):
+    # Same answer and the same closures, in the same order, as the loop,
+    # for every distinct dual and every order of the cases.
+    closures = {}
+
+    def close(spec):
+        if spec not in closures:
+            closures[spec] = closure_of_spec(spec)
+        return closures[spec]
+
+    def recorder(log):
+        def close_and_log(spec, budget=None):
+            log.append(spec)
+            return close(spec)
+
+        return close_and_log
+
+    duals = {}
+    for spec in iter_valid_specs(alpha, beta):
+        dual = dual_bruteforce(close(spec))
+        duals.setdefault(dual.basis, dual)
+    for dual in duals.values():
+        for cases in itertools.permutations((1, 2, 3)):
+            expected_closed, closed = [], []
+            expected = _recover_by_candidate_loop(dual, cases, recorder(expected_closed))
+            monkeypatch.setattr(duality, "closure_of_spec", recorder(closed))
+            assert recover_spec(dual, cases) == expected, (dual, cases)
+            assert closed == expected_closed, (dual, cases)
 
 
 class TestDegreeFormulas:

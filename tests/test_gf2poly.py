@@ -4,6 +4,7 @@ import time
 import pytest
 
 from z2ucodes.gf2poly import (
+    MAX_EXPONENT,
     MINUS_INF,
     ONE,
     ZERO,
@@ -191,6 +192,16 @@ class TestTextGrammar:
     def test_bad_exponent_names_its_column(self, exp):
         with pytest.raises(PolyParseError, match="^column 5: bad exponent") as info:
             parse_poly("1+x^" + exp)
+        assert info.value.column == 5
+
+
+def test_exponent_above_the_limit_names_its_column():
+    # The limit is refused first, so the huge exponent below is never built.
+    assert parse_poly(f"x^{MAX_EXPONENT}").degree == MAX_EXPONENT
+    for exp in (MAX_EXPONENT + 1, 99999999999):
+        message = f"^column 5: exponent exceeds the limit {MAX_EXPONENT}$"
+        with pytest.raises(PolyParseError, match=message) as info:
+            parse_poly(f"1+x^{exp}")
         assert info.value.column == 5
 
 
