@@ -124,8 +124,8 @@ def min_distance(code: CodeSet) -> int:
     """
     if len(code) < 2:
         raise ValueError("minimum distance requires at least two codewords")
-    arr = code.packed()
-    imgs = gray_block_packed(arr[arr != 0], code.alpha, code.beta)
+    # packed() is ascending, so the zero word comes first.
+    imgs = gray_block_packed(code.packed()[1:], code.alpha, code.beta)
     return int(np.bitwise_count(imgs).min())
 
 
