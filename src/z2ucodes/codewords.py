@@ -11,14 +11,14 @@ is then XOR, and both the constacyclic shift and multiplication by u are
 GF(2)-linear maps on packed words, which is what makes the exhaustive
 oracles fast: a code is an XOR-subgroup invariant under the two maps.
 
-The closure oracle below is a breadth-first fixed point over
-{+, x*, u*}; it never consults the spanning-set formulas, so it serves
-as an independent referee for every counting formula in the package.
+The closure oracle below spans shift chains of the generators and of
+their u-multiples; it never consults the spanning-set formulas, so it
+serves as an independent referee for every counting formula in the
+package.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -200,18 +200,33 @@ def basis_from_group_array(arr: np.ndarray) -> list[int]:
 
 def closure_basis(packed_gens: Iterable[int], alpha: int, beta: int) -> tuple[int, ...]:
     """Smallest XOR-span containing the generators and invariant under
-    the shift and u-multiplication maps (= the generated submodule)."""
+    the shift and u-multiplication maps (= the generated submodule), as
+    its canonical fully reduced RREF basis.
+
+    The submodule is the span of the shift iterates of the generators
+    and of their u-multiples: u*u = 0 and u commutes with the shift, so
+    no other words are needed.  Each of these words starts a chain
+    v, shift(v), shift^2(v), ... that stops at the first iterate already
+    in the span: a shift-invariant span plus such a chain is again
+    shift-invariant.  The chains are kept in echelon form, one row per
+    leading bit, and fully reduced once at the end.
+    """
+    gens = [int(g) for g in packed_gens]
+    gens += [umul_packed(g, alpha, beta) for g in gens]
+    rows: dict[int, int] = {}
+    for v in gens:
+        while True:
+            w = v
+            while w and (lead := w.bit_length() - 1) in rows:
+                w ^= rows[lead]
+            if not w:
+                break
+            rows[lead] = w
+            v = shift_packed(v, alpha, beta)
     basis: list[int] = []
-    queue = deque(int(g) for g in packed_gens)
-    while queue:
-        v = queue.popleft()
-        v = reduce_against(v, basis)
-        if v == 0:
-            continue
-        basis_insert(basis, v)
-        queue.append(shift_packed(v, alpha, beta))
-        queue.append(umul_packed(v, alpha, beta))
-    return tuple(basis)
+    for lead in sorted(rows):
+        basis.append(reduce_against(rows[lead], basis))
+    return tuple(basis[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +606,18 @@ def require_valid(spec: CodeSpec) -> None:
 
 @dataclass(frozen=True)
 class SpanningElement:
-    """Spanning-set member with its scalar domain (2 or 4 multiples)."""
+    """Spanning-set member, a packed word of Z2^alpha x R^beta, with its
+    scalar domain (2 or 4 multiples)."""
 
-    word: Codeword
+    packed: int
+    alpha: int
+    beta: int
     multiples: int
     group: str
+
+    @property
+    def word(self) -> Codeword:
+        return Codeword.from_packed(self.packed, self.alpha, self.beta)
 
 
 def spanning_set(spec: CodeSpec) -> list[SpanningElement]:
@@ -612,7 +634,7 @@ def spanning_set(spec: CodeSpec) -> list[SpanningElement]:
         elems = []
         w = base.packed()
         for _ in range(count):
-            elems.append(SpanningElement(Codeword.from_packed(w, alpha, beta), multiples, group))
+            elems.append(SpanningElement(w, alpha, beta, multiples, group))
             w = shift_packed(w, alpha, beta)
         return elems
 
@@ -645,10 +667,9 @@ def spanning_span(elements: Sequence[SpanningElement], alpha: int, beta: int) ->
     itself and its u-multiple as GF(2) spanning vectors."""
     vectors = []
     for el in elements:
-        w = el.word.to_packed()
-        vectors.append(w)
+        vectors.append(el.packed)
         if el.multiples == 4:
-            vectors.append(umul_packed(w, alpha, beta))
+            vectors.append(umul_packed(el.packed, alpha, beta))
     return CodeSet.from_basis(alpha, beta, vectors)
 
 

@@ -14,6 +14,7 @@ the dual cost, not what the ambient space costs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +30,7 @@ from .gf2poly import (
     reciprocal,
     x_pow_n_minus_1,
 )
-from .ringr import RP_ZERO, AmbientElement, RElem, RPoly
+from .ringr import RP_ZERO, AmbientElement, RElem, RPoly, reduce_rpoly
 from .codewords import (
     DEFAULT_BUDGET,
     CodeSet,
@@ -38,6 +39,7 @@ from .codewords import (
     basis_insert,
     check_budget,
     check_word_width,
+    closure_basis,
     closure_of_spec,
     is_constacyclic,
     iter_spec_families,
@@ -251,6 +253,13 @@ def separable_dual(spec: CodeSpec) -> CodeSpec:
 _DUAL_CASE = {1: 2, 2: 1, 3: 3}
 
 
+@functools.lru_cache(maxsize=4096)
+def _second_block_rank(beta: int, y: RPoly) -> int:
+    """Rank of the submodule of R[x]/(x^beta - 1 - u) generated by y."""
+    y = reduce_rpoly(y, beta)
+    return len(closure_basis([y.p.bits | y.q.bits << beta], 0, beta))
+
+
 def recover_spec(
     dual: CodeSet, cases: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> "CodeSpec | None":
@@ -266,8 +275,15 @@ def recover_spec(
     XOR of rem(x^i*base, 0) over the set bits i of m: one XOR table of
     the free rows decides every l of the family, and the passing m are
     closed in ascending order, the sweep order.
+
+    A candidate's closure C lies in the dual, and C's projection onto
+    the R block is the submodule generated by y, so C can equal the dual
+    only if that submodule has the rank of the dual's projection: the
+    number of RREF basis vectors with a bit at or above alpha.  Families
+    whose y fails this are skipped.
     """
     alpha, beta = dual.alpha, dual.beta
+    second_rank = sum(1 for b in dual.basis if b >> alpha)
     first_rems: dict[int, int] = {}
     y_rems: dict[RPoly, int] = {}
 
@@ -284,6 +300,8 @@ def recover_spec(
             if first_rem(a.bits):
                 continue
             y = y_generator_of(case, g, f)
+            if _second_block_rank(beta, y) != second_rank:
+                continue
             if y not in y_rems:
                 y_rems[y] = rem(ZERO, y)
             base = l_base(a, window)

@@ -21,6 +21,7 @@ from .codewords import (
     check_budget,
     closure_basis,
     require_valid,
+    shift_packed,
 )
 
 
@@ -158,8 +159,10 @@ def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> in
     """Exhaustive submodule count as the join lattice of the cyclic
     submodules.
 
-    Closes every nonzero ambient word once, under {+, x*, u*}, to get the
-    distinct cyclic submodules; then walks up from the zero module,
+    Closes one nonzero ambient word per shift orbit, under {+, x*, u*},
+    to get the distinct cyclic submodules: the shift is a bijection of
+    finite order, so w is a shift power of shift(w) and both generate
+    the same submodule.  It then walks up from the zero module,
     joining each known module with every cyclic submodule it does not
     contain.  A sum of submodules is a submodule, so a join is the RREF
     span of the two bases and needs no closure, and every submodule is
@@ -168,7 +171,16 @@ def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> in
     """
     nbits = alpha + 2 * beta
     check_budget(nbits, budget)
-    cyclic = sorted({closure_basis([w], alpha, beta) for w in range(1, 1 << nbits)})
+    done = bytearray(1 << nbits)
+    modules = set()
+    for w in range(1, 1 << nbits):
+        if not done[w]:
+            modules.add(closure_basis([w], alpha, beta))
+            orbit = w
+            while not done[orbit]:
+                done[orbit] = 1
+                orbit = shift_packed(orbit, alpha, beta)
+    cyclic = sorted(modules)
     zero_key: tuple[int, ...] = ()
     seen = {zero_key}
     worklist = [zero_key]

@@ -14,6 +14,7 @@ from z2ucodes.codewords import (
     shift_packed,
     umul_packed,
 )
+from z2ucodes import structure
 from z2ucodes.structure import (
     cb_dimension,
     census_table,
@@ -235,7 +236,41 @@ def test_census_matches_adjoining_every_word(alpha, beta):
     assert count_codes_census(alpha, beta) == census_by_adjoining_words(alpha, beta)
 
 
-CRT_PAIRS = [(1, 1), (1, 3), (3, 1), (3, 3), (1, 5), (5, 1), (3, 5), (5, 3), (7, 1), (7, 3), (9, 1)]
+def shift_orbits(alpha, beta):
+    """The orbits of the nonzero words under shift_packed."""
+    orbits, done = [], set()
+    for w in range(1, 1 << (alpha + 2 * beta)):
+        if w not in done:
+            orbit = {w}
+            x = shift_packed(w, alpha, beta)
+            while x != w:
+                orbit.add(x)
+                x = shift_packed(x, alpha, beta)
+            done |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
+@pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS)
+def test_census_closes_one_word_per_shift_orbit(alpha, beta, monkeypatch):
+    closed = []
+
+    def close_and_log(gens, a, b):
+        basis = closure_basis(gens, a, b)
+        closed.append(basis)
+        return basis
+
+    monkeypatch.setattr(structure, "closure_basis", close_and_log)
+    count_codes_census(alpha, beta)
+    every_word = {closure_basis([w], alpha, beta) for w in range(1, 1 << (alpha + 2 * beta))}
+    assert set(closed) == every_word
+    assert len(closed) == len(shift_orbits(alpha, beta))
+
+
+CRT_PAIRS = [
+    (1, 1), (1, 3), (3, 1), (3, 3), (1, 5), (5, 1), (3, 5), (5, 3), (7, 1), (7, 3), (9, 1),
+    (1, 7), (5, 5),
+]
 
 
 @pytest.mark.parametrize("alpha, beta", CRT_PAIRS)
