@@ -20,6 +20,7 @@ from .codewords import (
     CodeSpec,
     SpecParseError,
     cardinality_formula,
+    check_budget,
     closure_of_spec,
     iter_valid_specs,
     load_spec_file,
@@ -134,31 +135,33 @@ def census_doc(alpha: int, beta: int, budget: int) -> dict:
 
 
 def search_doc(alpha_max: int, beta_max: int, d_min: "int | None", budget: int) -> dict:
+    pairs = [(a, b) for a in range(1, alpha_max + 1) for b in range(1, beta_max + 1)]
+    for alpha, beta in pairs:
+        check_budget(alpha + 2 * beta, budget)
     rows = []
     distance_cache: dict = {}
-    for alpha in range(1, alpha_max + 1):
-        for beta in range(1, beta_max + 1):
-            for spec in iter_valid_specs(alpha, beta):
-                code = closure_of_spec(spec, budget)
-                if code.rank < 1:
-                    continue
-                key = (alpha, beta, code.basis)
-                if key not in distance_cache:
-                    distance_cache[key] = min_distance(code)
-                d = distance_cache[key]
-                if d_min is not None and d < d_min:
-                    continue
-                rows.append(
-                    {
-                        "alpha": alpha,
-                        "beta": beta,
-                        "case": spec.case,
-                        "spec": "; ".join(spec.serialize().strip().splitlines()),
-                        "n": alpha + 2 * beta,
-                        "k": code.rank,
-                        "d": d,
-                    }
-                )
+    for alpha, beta in pairs:
+        for spec in iter_valid_specs(alpha, beta):
+            code = closure_of_spec(spec, budget)
+            if code.rank < 1:
+                continue
+            key = (alpha, beta, code.basis)
+            if key not in distance_cache:
+                distance_cache[key] = min_distance(code)
+            d = distance_cache[key]
+            if d_min is not None and d < d_min:
+                continue
+            rows.append(
+                {
+                    "alpha": alpha,
+                    "beta": beta,
+                    "case": spec.case,
+                    "spec": "; ".join(spec.serialize().strip().splitlines()),
+                    "n": alpha + 2 * beta,
+                    "k": code.rank,
+                    "d": d,
+                }
+            )
     rows.sort(key=lambda r: (-r["d"], -r["k"], r["spec"]))
     return {
         "command": "search",

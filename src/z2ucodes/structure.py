@@ -20,6 +20,7 @@ from .codewords import (
     basis_insert,
     check_budget,
     closure_basis,
+    reduce_against,
     require_valid,
     shift_packed,
 )
@@ -155,47 +156,85 @@ def count_codes_formula(alpha: int, beta: int) -> int:
     return 2 ** cyclotomic_class_count(alpha) * 3 ** cyclotomic_class_count(beta)
 
 
-def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> int:
-    """Exhaustive submodule count as the join lattice of the cyclic
-    submodules.
+def _join_irreducibles(
+    alpha: int, beta: int, budget: int = CENSUS_BUDGET
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The join-irreducible submodules, as (word, RREF basis) pairs with
+    the word generating the submodule, in ascending order of rank.
 
     Closes one nonzero ambient word per shift orbit, under {+, x*, u*},
     to get the distinct cyclic submodules: the shift is a bijection of
     finite order, so w is a shift power of shift(w) and both generate
-    the same submodule.  It then walks up from the zero module,
-    joining each known module with every cyclic submodule it does not
-    contain.  A sum of submodules is a submodule, so a join is the RREF
-    span of the two bases and needs no closure, and every submodule is
-    reached because it is the sum of the cyclic submodules of its
-    elements.  No counting formula is consulted.
+    the same submodule.  Every join-irreducible is cyclic (a module is
+    the sum of the cyclic submodules of its elements), and a cyclic
+    submodule C is join-irreducible when the cyclic submodules strictly
+    inside it span less than C.  C_i lies in C_j exactly when the word
+    of C_i reduces to 0 against the basis of C_j.
     """
     nbits = alpha + 2 * beta
     check_budget(nbits, budget)
     done = bytearray(1 << nbits)
-    modules = set()
+    cyclic: dict[tuple[int, ...], int] = {}
     for w in range(1, 1 << nbits):
         if not done[w]:
-            modules.add(closure_basis([w], alpha, beta))
+            cyclic.setdefault(closure_basis([w], alpha, beta), w)
             orbit = w
             while not done[orbit]:
                 done[orbit] = 1
                 orbit = shift_packed(orbit, alpha, beta)
-    cyclic = sorted(modules)
+    ranked = sorted(((w, basis) for basis, w in cyclic.items()), key=lambda c: len(c[1]))
+    irreducible = []
+    for i, (w, basis) in enumerate(ranked):
+        inside: list[int] = []
+        for v, smaller in ranked[:i]:
+            if len(smaller) < len(basis) and reduce_against(v, basis) == 0:
+                for g in smaller:
+                    basis_insert(inside, g)
+        if len(inside) < len(basis):
+            irreducible.append((w, basis))
+    return irreducible
+
+
+def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> int:
+    """Exhaustive submodule count as the join lattice of the
+    join-irreducible submodules (:func:`_join_irreducibles`).
+
+    Walks up from the zero module.  For a known module M, let out be
+    the join-irreducibles whose word does not reduce to 0 against M;
+    M is joined only with the minimal members of out, those with no
+    other member of out strictly below them.  A sum of submodules is a
+    submodule, so a join is the RREF span of the two bases and needs no
+    closure.  Every submodule N is reached: for M strictly inside N,
+    N is a sum of join-irreducibles, so some join-irreducible J inside
+    N is missing from M; a minimal missing join-irreducible C at or
+    below J still lies in N, so M + C is strictly larger than M and
+    still inside N, and the walk climbs from 0 to N.  No counting
+    formula is consulted.
+    """
+    irreducible = _join_irreducibles(alpha, beta, budget)
+    below = [
+        sum(
+            1 << k
+            for k, (v, smaller) in enumerate(irreducible)
+            if len(smaller) < len(basis) and reduce_against(v, basis) == 0
+        )
+        for _, basis in irreducible
+    ]
     zero_key: tuple[int, ...] = ()
     seen = {zero_key}
     worklist = [zero_key]
     while worklist:
         basis = worklist.pop()
-        for gens in cyclic:
-            grown = list(basis)
-            for g in gens:
-                basis_insert(grown, g)
-            if len(grown) == len(basis):
-                continue
-            key = tuple(grown)
-            if key not in seen:
-                seen.add(key)
-                worklist.append(key)
+        out = sum(1 << k for k, (v, _) in enumerate(irreducible) if reduce_against(v, basis))
+        for k, (_, gens) in enumerate(irreducible):
+            if out >> k & 1 and not below[k] & out:
+                grown = list(basis)
+                for g in gens:
+                    basis_insert(grown, g)
+                key = tuple(grown)
+                if key not in seen:
+                    seen.add(key)
+                    worklist.append(key)
     return len(seen)
 
 

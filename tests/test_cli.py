@@ -3,6 +3,7 @@ import json
 import pytest
 
 from z2ucodes import cli, gf2poly
+from z2ucodes.codewords import closure_of_spec
 from z2ucodes.cli import main
 from z2ucodes.report import render_json, render_text
 
@@ -269,6 +270,24 @@ class TestSearchCommand:
         )
         assert code == 2
         assert "exceeds budget" in err
+
+    def test_budget_refused_before_any_closure(self, capsys, monkeypatch):
+        # (1,4) fits in 2^9 words; (2,4), the first pair past it in
+        # iteration order, is named, and no pair is closed first.
+        closed = []
+
+        def close_and_count(spec, budget):
+            closed.append(spec)
+            return closure_of_spec(spec, budget)
+
+        monkeypatch.setattr(cli, "closure_of_spec", close_and_count)
+        code, out, err = run_cli(
+            capsys, "search", "--alpha-max", "4", "--beta-max", "4", "--budget", "512"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: ambient size 2^10 exceeds budget 512\n"
+        assert closed == []
 
 
 class TestDeterminismAndParity:

@@ -7,6 +7,7 @@ from z2ucodes.gf2poly import ZERO, BinPoly, parse_poly
 from z2ucodes.codewords import (
     CodeSet,
     CodeSpec,
+    basis_insert,
     closure_basis,
     closure_of_spec,
     iter_valid_specs,
@@ -27,6 +28,8 @@ from z2ucodes.structure import (
     type_from_enumeration,
     type_from_formulas,
 )
+
+from test_closure_chains import closed_word_set, spanned_words
 
 
 def P(text):
@@ -170,16 +173,30 @@ class TestCensus:
     def test_census_matches_distinct_spec_codes(self):
         # Every submodule found by the census is reachable from a spec at
         # these sizes, so the two counts coincide.
-        for alpha, beta in ((1, 1), (3, 1), (1, 3)):
+        for alpha, beta in ((1, 1), (3, 1), (1, 3), *EVEN_LENGTH_CENSUS):
             seen = set()
             for spec in iter_valid_specs(alpha, beta):
                 seen.add(closure_of_spec(spec).basis)
-            assert len(seen) == count_codes_census(alpha, beta)
+            assert len(seen) == count_codes_census(alpha, beta, 1 << 18)
 
     def test_table(self):
         rows = census_table([(1, 1), (2, 1)])
         assert rows[0]["formula"] == 6 and rows[0]["census"] == 8 and rows[0]["match"] is False
         assert rows[1]["formula"] is None and rows[1]["match"] is None
+
+
+# Brute-force counts at lengths the stated formula does not cover (an
+# even alpha or beta), recorded as data.  The census that joined every
+# module with every cyclic submodule gave the same values.
+EVEN_LENGTH_CENSUS = {
+    (2, 4): 57, (4, 2): 59, (4, 4): 207, (2, 6): 145, (6, 2): 87, (6, 3): 273,
+    (1, 8): 50, (8, 1): 43, (2, 8): 113, (8, 2): 119, (6, 6): 2175,
+}
+
+
+@pytest.mark.parametrize("alpha, beta", EVEN_LENGTH_CENSUS)
+def test_census_at_even_lengths(alpha, beta):
+    assert count_codes_census(alpha, beta, 1 << 18) == EVEN_LENGTH_CENSUS[alpha, beta]
 
 
 def census_by_adjoining_words(alpha, beta):
@@ -234,6 +251,62 @@ ORACLE_PAIRS = [(a, b) for b in (1, 2, 3) for a in range(1, 9 - 2 * b)]
 @pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS)
 def test_census_matches_adjoining_every_word(alpha, beta):
     assert count_codes_census(alpha, beta) == census_by_adjoining_words(alpha, beta)
+
+
+def census_by_joining_every_cyclic(alpha, beta):
+    """Reference census: close one word per shift orbit, then join every
+    known module with every cyclic submodule, from the zero module up."""
+    nbits = alpha + 2 * beta
+    done = bytearray(1 << nbits)
+    modules = set()
+    for w in range(1, 1 << nbits):
+        if not done[w]:
+            modules.add(closure_basis([w], alpha, beta))
+            orbit = w
+            while not done[orbit]:
+                done[orbit] = 1
+                orbit = shift_packed(orbit, alpha, beta)
+    cyclic = sorted(modules)
+    seen = {()}
+    worklist = [()]
+    while worklist:
+        basis = worklist.pop()
+        for gens in cyclic:
+            grown = list(basis)
+            for g in gens:
+                basis_insert(grown, g)
+            if len(grown) == len(basis):
+                continue
+            key = tuple(grown)
+            if key not in seen:
+                seen.add(key)
+                worklist.append(key)
+    return len(seen)
+
+
+@pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS + [(2, 4), (4, 2), (4, 4), (6, 2)])
+def test_census_matches_joining_every_cyclic(alpha, beta):
+    assert count_codes_census(alpha, beta) == census_by_joining_every_cyclic(alpha, beta)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)])
+def test_join_irreducibles_from_word_sets(alpha, beta):
+    # A cyclic submodule is join-irreducible when the XOR span of the
+    # cyclic submodules strictly inside it is not the whole module.
+    cyclic = {
+        frozenset(closed_word_set([w], alpha, beta))
+        for w in range(1, 1 << (alpha + 2 * beta))
+    }
+    expected = {
+        c
+        for c in cyclic
+        if spanned_words(set().union(*(d for d in cyclic if d < c))) != c
+    }
+    found = structure._join_irreducibles(alpha, beta)
+    for w, basis in found:
+        assert closed_word_set([w], alpha, beta) == spanned_words(basis)
+    assert {frozenset(spanned_words(basis)) for _, basis in found} == expected
+    assert len(found) == len(expected)
 
 
 def shift_orbits(alpha, beta):
