@@ -11,13 +11,12 @@ cardinality and the minimal spanning family.
 from z2ucodes import (
     CodeSpec,
     cardinality_formula,
-    contains,
     is_constacyclic,
     parse_poly,
     spanning_set,
     validate_spec,
 )
-from z2ucodes.codewords import Codeword, closure_of_spec
+from z2ucodes.codewords import closure_of_spec, word_texts
 
 spec = CodeSpec(
     alpha=2,
@@ -37,12 +36,13 @@ print("closed under the (1+u)-constacyclic shift:", is_constacyclic(code))
 # The minimal spanning family with its scalar domains: elements marked 4
 # contribute a full set of R-multiples, elements marked 2 only binary ones.
 for el in spanning_set(spec):
-    print(f"  {el.group}: {el.word}  ({el.multiples} multiples)")
+    (text,) = word_texts([el.packed], el.alpha, el.beta)
+    print(f"  {el.group}: {text}  ({el.multiples} multiples)")
 
 # Every word can be listed explicitly at desk scale
-words = code.words
-print("first words:", ", ".join(str(w) for w in words[:6]), "...")
-print("zero word is a member:", contains(code, Codeword.zero(2, 3)))
+words = word_texts(code.packed(), code.alpha, code.beta)
+print("first words:", ", ".join(words[:6]), "...")
+print("zero word is a member:", code.contains_packed(0))
 
 # A spec that fails its divisibility constraint is reported, not built:
 bad = CodeSpec(2, 3, 1, parse_poly("1+x^2"), parse_poly("1"), parse_poly("1+x"))

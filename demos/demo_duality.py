@@ -13,17 +13,20 @@ from z2ucodes import (
     dual_bruteforce,
     dual_degree_formulas,
     eta_pair,
-    inner_product,
     parse_poly,
     separable_dual,
 )
-from z2ucodes.codewords import Codeword, closure_of_spec
-from z2ucodes.duality import build_dual_report
+from z2ucodes.codewords import closure_of_spec
+from z2ucodes.duality import build_dual_report, orthogonality_masks
 from z2ucodes.gf2poly import ZERO
-from z2ucodes.ringr import R_U
+from z2ucodes.ringr import RElem
 
-# The R-valued inner product on two tiny words
-print("<(1|0), (1|0)> =", inner_product(Codeword((1,), (R_U,)), Codeword((1,), (R_U,))))
+# The R-valued inner product of the word (1|u) of Z2 x R with itself.
+# Packed with bit 0 = a, bit 1 = p and bit 2 = q, the word is 0b101; the
+# free part and the u part of the product are parities against two masks.
+m_free, m_u = orthogonality_masks(0b101, 1, 1)
+value = RElem((0b101 & m_free).bit_count(), (0b101 & m_u).bit_count())
+print("<(1|0), (1|0)> =", value)
 
 spec = CodeSpec(2, 3, 1, parse_poly("1+x^2"), parse_poly("1+x"), parse_poly("1+x"))
 code = closure_of_spec(spec)

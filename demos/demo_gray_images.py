@@ -11,23 +11,28 @@ to binary double cyclic codes in the block layout.
 from z2ucodes import (
     CodeSpec,
     gray_image,
-    gray_map,
     is_double_cyclic,
-    lee_weight,
     min_distance,
     parse_poly,
     self_dual_transfer,
 )
-from z2ucodes.codewords import Codeword, closure_of_spec
-from z2ucodes.gf2poly import ZERO
-from z2ucodes.gray import format_binary_code
-from z2ucodes.ringr import R_ONE_U, R_U
+from z2ucodes.codewords import closure_of_spec, word_texts
+from z2ucodes.gf2poly import ZERO, bit_reverse
+from z2ucodes.gray import (
+    format_binary_code,
+    gray_block_packed,
+    gray_interleaved_packed,
+    lee_weight_packed,
+)
 from z2ucodes.showcase import build_report
 
-c = Codeword((1,), (R_ONE_U, R_U))
-print("word:", c, " lee weight:", lee_weight(c))
-print("interleaved image:", gray_map(c, "interleaved"))
-print("block image:      ", gray_map(c, "block"))
+# The word (1|1+u,u) packed: bit 0 holds a = 1, bits 1-2 the 1-parts
+# p = (1, 0) and bits 3-4 the u-parts q = (1, 1) of its two symbols.  An
+# image is printed from its first coordinate, bit 0.
+c = 0b11011
+print("word:", word_texts([c], 1, 2)[0], " lee weight:", lee_weight_packed(c, 1, 2))
+print("interleaved image:", f"{bit_reverse(gray_interleaved_packed(c, 1, 2), 5):05b}")
+print("block image:      ", f"{bit_reverse(gray_block_packed(c, 1, 2), 5):05b}")
 
 spec = CodeSpec(2, 3, 1, parse_poly("1+x^2"), parse_poly("1+x"), parse_poly("1+x"))
 code = closure_of_spec(spec)

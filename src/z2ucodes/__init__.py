@@ -23,15 +23,11 @@ from .codewords import (
     BinaryCode,
     CodeSet,
     CodeSpec,
-    Codeword,
     cardinality_formula,
-    contains,
     enumerate_closure,
     is_constacyclic,
     iter_valid_specs,
-    shift,
     spanning_set,
-    star_mul,
     validate_spec,
 )
 from .structure import (
@@ -51,17 +47,12 @@ from .duality import (
     dual_degree_formulas,
     eta_pair,
     gray_route_dual,
-    inner_product,
     separable_dual,
 )
 from .gray import (
-    BinaryWord,
     gray_dimension_formula,
     gray_image,
-    gray_map,
-    gray_symbol,
     is_double_cyclic,
-    lee_weight,
     min_distance,
     self_dual_transfer,
 )

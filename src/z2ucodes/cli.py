@@ -26,6 +26,7 @@ from .codewords import (
     load_spec_file,
     spanning_set,
     validate_spec,
+    word_texts,
 )
 from .structure import census_table, type_from_enumeration, type_from_formulas
 from .duality import build_dual_report, dual_bruteforce
@@ -74,7 +75,7 @@ def construct_doc(spec: CodeSpec, budget: int, emit_words: bool) -> dict:
         groups[el.group] = groups.get(el.group, 0) + 1
     doc["spanning_set_sizes"] = groups
     if emit_words:
-        doc["words"] = [str(w) for w in code.words]
+        doc["words"] = word_texts(code.packed(), code.alpha, code.beta)
     return doc
 
 

@@ -1,12 +1,12 @@
-"""Codewords of Z2^alpha x R^beta, the (1+u)-constacyclic shift, the
-star multiplication, generator-case construction, minimal spanning sets,
-and the exhaustive closure oracle.
+"""Packed codewords of Z2^alpha x R^beta, the (1+u)-constacyclic shift,
+generator-case construction, minimal spanning sets, and the exhaustive
+closure oracle.
 
 Packed representation
 ---------------------
 A codeword is packed into one integer: bits [0, alpha) hold the binary
 block, bits [alpha, alpha+beta) the 1-components (p) of the R block and
-bits [alpha+beta, alpha+2*beta) the u-components (q).  Codeword addition
+bits [alpha+beta, alpha+2*beta) the u-components (q).  Word addition
 is then XOR, and both the constacyclic shift and multiplication by u are
 GF(2)-linear maps on packed words, which is what makes the exhaustive
 oracles fast: a code is an XOR-subgroup invariant under the two maps.
@@ -34,17 +34,7 @@ from .gf2poly import (
     divisors_of_xn_minus_1,
     x_pow_n_minus_1,
 )
-from .ringr import (
-    AmbientElement,
-    RELEMS,
-    RElem,
-    RPoly,
-    RP_U,
-    R_ONE_U,
-    bar_reduce,
-    reduce_mod_xn_minus_1,
-    rpoly_mul_mod,
-)
+from .ringr import AmbientElement, RElem, RPoly, RP_U, reduce_mod_xn_minus_1
 
 DEFAULT_BUDGET = 1 << 24
 CENSUS_BUDGET = 1 << 16
@@ -230,94 +220,6 @@ def closure_basis(packed_gens: Iterable[int], alpha: int, beta: int) -> tuple[in
 
 
 # ---------------------------------------------------------------------------
-# Codeword
-
-
-@dataclass(frozen=True)
-class Codeword:
-    """Element of Z2^alpha x R^beta."""
-
-    a: tuple[int, ...]
-    b: tuple[RElem, ...]
-
-    @property
-    def alpha(self) -> int:
-        return len(self.a)
-
-    @property
-    def beta(self) -> int:
-        return len(self.b)
-
-    @classmethod
-    def zero(cls, alpha: int, beta: int) -> "Codeword":
-        return cls((0,) * alpha, (RELEMS[0],) * beta)
-
-    @classmethod
-    def from_packed(cls, w: int, alpha: int, beta: int) -> "Codeword":
-        a = tuple((w >> i) & 1 for i in range(alpha))
-        b = tuple(
-            RElem((w >> (alpha + j)) & 1, (w >> (alpha + beta + j)) & 1) for j in range(beta)
-        )
-        return cls(a, b)
-
-    def to_packed(self) -> int:
-        alpha, beta = self.alpha, self.beta
-        w = 0
-        for i, bit in enumerate(self.a):
-            w |= (bit & 1) << i
-        for j, e in enumerate(self.b):
-            w |= e.p << (alpha + j)
-            w |= e.q << (alpha + beta + j)
-        return w
-
-    @classmethod
-    def from_ambient(cls, elem: AmbientElement) -> "Codeword":
-        return cls.from_packed(elem.packed(), elem.alpha, elem.beta)
-
-    def to_ambient(self) -> AmbientElement:
-        if self.alpha < 1:
-            raise ValueError("ambient view requires alpha >= 1")
-        return AmbientElement(
-            BinPoly.from_coeffs(self.a),
-            RPoly.from_coeffs(self.b),
-            self.alpha,
-            self.beta,
-        )
-
-    def __add__(self, other: "Codeword") -> "Codeword":
-        if self.alpha != other.alpha or self.beta != other.beta:
-            raise ValueError("codeword length mismatch")
-        return Codeword(
-            tuple(x ^ y for x, y in zip(self.a, other.a)),
-            tuple(x + y for x, y in zip(self.b, other.b)),
-        )
-
-    def sort_key(self):
-        """Lexicographic on (a bits, then symbols ordered 0 < 1 < u < 1+u)."""
-        return (self.a, tuple(e.order_index for e in self.b))
-
-    def __str__(self):
-        return "".join(map(str, self.a)) + "|" + ",".join(map(str, self.b))
-
-
-def shift(c: Codeword) -> Codeword:
-    """Rotate both blocks right; the wrapped R symbol is multiplied by 1+u."""
-    a = c.a[-1:] + c.a[:-1]
-    if c.b:
-        b = (c.b[-1] * R_ONE_U,) + c.b[:-1]
-    else:
-        b = c.b
-    return Codeword(a, b)
-
-
-def star_mul(d: RPoly, c: AmbientElement) -> AmbientElement:
-    """d(x) * (a(x), b(x)) = (dbar(x) a(x), d(x) b(x)) in the ambient module."""
-    first = reduce_mod_xn_minus_1(bar_reduce(d) * c.first, c.alpha)
-    second = rpoly_mul_mod(d, c.second, c.beta)
-    return AmbientElement(first, second, c.alpha, c.beta)
-
-
-# ---------------------------------------------------------------------------
 # explicit code sets
 
 
@@ -395,15 +297,6 @@ class CodeSet:
     def contains_packed(self, w: int) -> bool:
         return reduce_against(int(w), self.basis) == 0
 
-    def __contains__(self, c: Codeword) -> bool:
-        return contains(self, c)
-
-    @property
-    def words(self) -> tuple[Codeword, ...]:
-        done = [Codeword.from_packed(int(w), self.alpha, self.beta) for w in self.packed()]
-        done.sort(key=Codeword.sort_key)
-        return tuple(done)
-
     def __eq__(self, other):
         return (
             isinstance(other, CodeSet)
@@ -420,6 +313,19 @@ class CodeSet:
 
 
 BinaryCode = CodeSet  # a binary code of length n is CodeSet(n, 0, basis)
+
+
+def word_texts(words: Iterable[int], alpha: int, beta: int) -> list[str]:
+    """Packed words as text such as ``01|0,1+u,u``: the binary bits from
+    bit 0, then the R symbols.  The texts are sorted by the binary bits
+    lexicographically, then by the symbols, ordered 0 < 1 < u < 1+u."""
+    rows = []
+    for w in map(int, words):
+        bits = [(w >> i) & 1 for i in range(alpha)]
+        symbols = [RElem(w >> (alpha + j), w >> (alpha + beta + j)) for j in range(beta)]
+        text = "".join(map(str, bits)) + "|" + ",".join(map(str, symbols))
+        rows.append((bits, [e.order_index for e in symbols], text))
+    return [text for _, _, text in sorted(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +521,6 @@ class SpanningElement:
     multiples: int
     group: str
 
-    @property
-    def word(self) -> Codeword:
-        return Codeword.from_packed(self.packed, self.alpha, self.beta)
-
 
 def spanning_set(spec: CodeSpec) -> list[SpanningElement]:
     """The stated minimal spanning family S1 u S2 u S3."""
@@ -713,13 +615,6 @@ def is_constacyclic(code: CodeSet) -> bool:
     The shift is linear and bijective, so checking the basis suffices.
     """
     return all(code.contains_packed(shift_packed(b, code.alpha, code.beta)) for b in code.basis)
-
-
-def contains(code: CodeSet, c: Codeword) -> bool:
-    """Membership in the canonical word set."""
-    if c.alpha != code.alpha or c.beta != code.beta:
-        raise ValueError("codeword length mismatch")
-    return code.contains_packed(c.to_packed())
 
 
 # ---------------------------------------------------------------------------

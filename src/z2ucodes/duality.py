@@ -1,5 +1,6 @@
-"""The inner product, brute-force duals, dual-degree formulas, separable
-duals, the eta pairing and the Gray-route dual generator predictions.
+"""Orthogonality masks of the inner product, brute-force duals,
+dual-degree formulas, separable duals, the eta pairing and the
+Gray-route dual generator predictions.
 
 Orthogonality of a scanned word w against a fixed codeword d reduces to
 two GF(2) parity conditions on w (the free part and the u part of the
@@ -30,12 +31,11 @@ from .gf2poly import (
     reciprocal,
     x_pow_n_minus_1,
 )
-from .ringr import RP_ZERO, AmbientElement, RElem, RPoly, reduce_rpoly
+from .ringr import RP_ZERO, AmbientElement, RPoly, reduce_rpoly
 from .codewords import (
     DEFAULT_BUDGET,
     CodeSet,
     CodeSpec,
-    Codeword,
     basis_insert,
     check_budget,
     check_word_width,
@@ -49,16 +49,6 @@ from .codewords import (
     xor_table,
     y_generator_of,
 )
-
-
-def inner_product(c1: Codeword, c2: Codeword) -> RElem:
-    """u * sum(a_i d_i) + sum(b_j e_j), valued in R."""
-    if c1.alpha != c2.alpha or c1.beta != c2.beta:
-        raise ValueError("codeword length mismatch")
-    alpha, beta = c1.alpha, c1.beta
-    w1, w2 = c1.to_packed(), c2.to_packed()
-    m1, m2 = orthogonality_masks(w2, alpha, beta)
-    return RElem((w1 & m1).bit_count() & 1, (w1 & m2).bit_count() & 1)
 
 
 def orthogonality_masks(gen_packed: int, alpha: int, beta: int) -> tuple[int, int]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class _MinusInfinity:
@@ -83,15 +83,6 @@ class BinPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("BinPoly is immutable")
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "BinPoly":
-        """Build from an ascending-degree coefficient sequence."""
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if c & 1:
-                bits |= 1 << i
-        return cls(bits)
 
     @property
     def degree(self):

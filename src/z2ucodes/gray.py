@@ -19,30 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2poly import bit_reverse
-from .ringr import RElem
-from .codewords import DEFAULT_BUDGET, CodeSet, CodeSpec, Codeword, require_valid
+from .codewords import DEFAULT_BUDGET, CodeSet, CodeSpec, require_valid
 from .duality import dual_bruteforce
 
 LAYOUTS = ("interleaved", "block")
-
-
-def gray_symbol(e: RElem) -> tuple[int, int]:
-    """Per-symbol image: 0->(0,0), 1->(0,1), u->(1,1), 1+u->(1,0)."""
-    return (e.q, e.p ^ e.q)
-
-
-@dataclass(frozen=True)
-class BinaryWord:
-    """Binary image word with its coordinate layout tag."""
-
-    bits: tuple[int, ...]
-    layout: str
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __str__(self):
-        return "".join(map(str, self.bits))
 
 
 def gray_block_packed(w, alpha: int, beta: int):
@@ -72,22 +52,6 @@ def _gray_packed(w, alpha: int, beta: int, layout: str):
     if layout == "interleaved":
         return gray_interleaved_packed(w, alpha, beta)
     raise ValueError(f"unknown layout {layout!r}")
-
-
-def gray_map(c: Codeword, layout: str = "interleaved") -> BinaryWord:
-    """Image of one codeword; length alpha + 2*beta."""
-    packed = _gray_packed(c.to_packed(), c.alpha, c.beta, layout)
-    n = c.alpha + 2 * c.beta
-    return BinaryWord(tuple((packed >> i) & 1 for i in range(n)), layout)
-
-
-def lee_weight(c: Codeword) -> int:
-    """Symbol weights 0,1,2,1 for 0,1,u,1+u plus binary Hamming weight."""
-    return sum(c.a) + sum(e.lee_weight() for e in c.b)
-
-
-def lee_distance(c1: Codeword, c2: Codeword) -> int:
-    return lee_weight(c1 + c2)
 
 
 def _popcount(v):

@@ -43,9 +43,6 @@ class RElem:
         """Canonical symbol order 0 < 1 < u < 1+u."""
         return self.p + 2 * self.q
 
-    def lee_weight(self) -> int:
-        return (0, 1, 2, 1)[self.order_index]
-
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
 
@@ -77,15 +74,6 @@ class RPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("RPoly is immutable")
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "RPoly":
-        p = 0
-        q = 0
-        for i, e in enumerate(coeffs):
-            p |= e.p << i
-            q |= e.q << i
-        return cls(BinPoly(p), BinPoly(q))
 
     @property
     def degree(self):

@@ -10,11 +10,13 @@ exposes the other for comparison.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .gf2poly import BinPoly, cyclotomic_class_count, poly_gcd, x_pow_n_minus_1
 from .codewords import (
     CENSUS_BUDGET,
+    BudgetExceededError,
     CodeSet,
     CodeSpec,
     basis_insert,
@@ -83,7 +85,7 @@ def puncture_y(code: CodeSet) -> CodeSet:
 
 
 def subcode_cb(code: CodeSet) -> CodeSet:
-    """Codewords whose every second-block symbol lies in {0, u}."""
+    """The codewords whose every second-block symbol lies in {0, u}."""
     return _kernel(code, ((1 << code.beta) - 1) << code.alpha)
 
 
@@ -166,33 +168,43 @@ def _join_irreducibles(
     to get the distinct cyclic submodules: the shift is a bijection of
     finite order, so w is a shift power of shift(w) and both generate
     the same submodule.  Every join-irreducible is cyclic (a module is
-    the sum of the cyclic submodules of its elements), and a cyclic
-    submodule C is join-irreducible when the cyclic submodules strictly
-    inside it span less than C.  C_i lies in C_j exactly when the word
-    of C_i reduces to 0 against the basis of C_j.
+    the sum of the cyclic submodules of its elements), and adding up the
+    orbit sizes per submodule counts the words that generate it.
+
+    A cyclic submodule C is join-irreducible exactly when |C| minus its
+    number of generators is a power of two.  C = A w is isomorphic to the
+    ring B = A / Ann(w), A = F2[x, u] / (u^2) acting on the ambient
+    module, and the words that generate C are the units of B.  C is
+    join-irreducible when it has a unique maximal submodule, that is
+    when the finite commutative ring B is local.  A local B with residue
+    field of 2^d elements has |B| / 2^d non-units, a power of two.  A
+    product of k >= 2 local rings with residue degrees d_i, D = sum d_i,
+    has |B| (2^D - prod(2^d_i - 1)) / 2^D non-units, whose odd factor
+    2^D - prod(2^d_i - 1) is at least 3.
     """
     nbits = alpha + 2 * beta
     check_budget(nbits, budget)
+    if 1 << nbits > sys.maxsize:
+        raise BudgetExceededError(
+            f"word length {nbits} bits is too wide for the census: "
+            f"2^{nbits} orbit marks exceed the largest bytearray"
+        )
     done = bytearray(1 << nbits)
-    cyclic: dict[tuple[int, ...], int] = {}
+    cyclic: dict[tuple[int, ...], list[int]] = {}
     for w in range(1, 1 << nbits):
         if not done[w]:
-            cyclic.setdefault(closure_basis([w], alpha, beta), w)
+            entry = cyclic.setdefault(closure_basis([w], alpha, beta), [w, 0])
             orbit = w
             while not done[orbit]:
                 done[orbit] = 1
+                entry[1] += 1
                 orbit = shift_packed(orbit, alpha, beta)
-    ranked = sorted(((w, basis) for basis, w in cyclic.items()), key=lambda c: len(c[1]))
-    irreducible = []
-    for i, (w, basis) in enumerate(ranked):
-        inside: list[int] = []
-        for v, smaller in ranked[:i]:
-            if len(smaller) < len(basis) and reduce_against(v, basis) == 0:
-                for g in smaller:
-                    basis_insert(inside, g)
-        if len(inside) < len(basis):
-            irreducible.append((w, basis))
-    return irreducible
+    irreducible = [
+        (w, basis)
+        for basis, (w, gens) in cyclic.items()
+        if ((1 << len(basis)) - gens).bit_count() == 1
+    ]
+    return sorted(irreducible, key=lambda c: len(c[1]))
 
 
 def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> int:

@@ -250,6 +250,18 @@ def test_words_wider_than_63_bits_exit_2(capsys, tmp_path, command):
     assert "63-bit packed-word limit" in err
 
 
+@pytest.mark.parametrize("beta", [31, 32])
+def test_census_too_wide_for_orbit_marks_exits_2(capsys, beta):
+    # 1 + 2*beta = 63 or 65 bits: the census cannot index 2^n orbit marks,
+    # whatever the budget, and refuses before allocating them.
+    argv = ["census", "--alpha", "1", "--beta", str(beta), "--budget", str(10**30)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"word length {1 + 2 * beta} bits" in err
+
+
 class TestSearchCommand:
     def test_small_range(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--alpha-max", "2", "--beta-max", "3")

@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion and prints something."""
+"""Every demo script runs to completion and prints what it printed when
+its expected output in tests/data/demos was recorded."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED = Path(__file__).resolve().parent / "data" / "demos"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -19,3 +21,4 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert proc.stdout == (EXPECTED / f"{demo.stem}.txt").read_text()

@@ -253,20 +253,26 @@ def test_census_matches_adjoining_every_word(alpha, beta):
     assert count_codes_census(alpha, beta) == census_by_adjoining_words(alpha, beta)
 
 
-def census_by_joining_every_cyclic(alpha, beta):
-    """Reference census: close one word per shift orbit, then join every
-    known module with every cyclic submodule, from the zero module up."""
+def cyclic_submodules(alpha, beta):
+    """Every distinct cyclic submodule, as {RREF basis: first word that
+    closes to it}, closing one word per shift orbit."""
     nbits = alpha + 2 * beta
     done = bytearray(1 << nbits)
-    modules = set()
+    modules = {}
     for w in range(1, 1 << nbits):
         if not done[w]:
-            modules.add(closure_basis([w], alpha, beta))
+            modules.setdefault(closure_basis([w], alpha, beta), w)
             orbit = w
             while not done[orbit]:
                 done[orbit] = 1
                 orbit = shift_packed(orbit, alpha, beta)
-    cyclic = sorted(modules)
+    return modules
+
+
+def census_by_joining_every_cyclic(alpha, beta):
+    """Reference census: close one word per shift orbit, then join every
+    known module with every cyclic submodule, from the zero module up."""
+    cyclic = sorted(cyclic_submodules(alpha, beta))
     seen = {()}
     worklist = [()]
     while worklist:
@@ -287,6 +293,33 @@ def census_by_joining_every_cyclic(alpha, beta):
 @pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS + [(2, 4), (4, 2), (4, 4), (6, 2)])
 def test_census_matches_joining_every_cyclic(alpha, beta):
     assert count_codes_census(alpha, beta) == census_by_joining_every_cyclic(alpha, beta)
+
+
+def join_irreducibles_by_containment(alpha, beta):
+    """Reference: the cyclic submodules, in ascending order of rank, that
+    the cyclic submodules strictly inside them do not span.  C_i lies in
+    C_j exactly when the word of C_i reduces to 0 against the basis of
+    C_j."""
+    ranked = sorted(
+        ((w, basis) for basis, w in cyclic_submodules(alpha, beta).items()),
+        key=lambda c: len(c[1]),
+    )
+    irreducible = []
+    for i, (w, basis) in enumerate(ranked):
+        inside = []
+        for v, smaller in ranked[:i]:
+            if len(smaller) < len(basis) and reduce_against(v, basis) == 0:
+                for g in smaller:
+                    basis_insert(inside, g)
+        if len(inside) < len(basis):
+            irreducible.append((w, basis))
+    return irreducible
+
+
+@pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS + [(2, 4), (4, 2), (4, 4), (5, 5)])
+def test_join_irreducibles_match_the_containment_filter(alpha, beta):
+    found = structure._join_irreducibles(alpha, beta)
+    assert found == join_irreducibles_by_containment(alpha, beta)
 
 
 @pytest.mark.parametrize("alpha, beta", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)])
