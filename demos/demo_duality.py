@@ -26,7 +26,7 @@ from z2ucodes.ringr import RElem
 # free part and the u part of the product are parities against two masks.
 m_free, m_u = orthogonality_masks(0b101, 1, 1)
 value = RElem((0b101 & m_free).bit_count(), (0b101 & m_u).bit_count())
-print("<(1|0), (1|0)> =", value)
+print("<(1|u), (1|u)> =", value)
 
 spec = CodeSpec(2, 3, 1, parse_poly("1+x^2"), parse_poly("1+x"), parse_poly("1+x"))
 code = closure_of_spec(spec)

@@ -18,7 +18,7 @@ from .gf2poly import (
     reciprocal,
     x_pow_n_minus_1,
 )
-from .ringr import AmbientElement, RElem, RPoly, bar_reduce, mu_map, rpoly_mul_mod
+from .ringr import RElem, RPoly, bar_reduce, mu_map, rpoly_mul_mod
 from .codewords import (
     BinaryCode,
     CodeSet,

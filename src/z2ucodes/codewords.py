@@ -34,7 +34,7 @@ from .gf2poly import (
     divisors_of_xn_minus_1,
     x_pow_n_minus_1,
 )
-from .ringr import AmbientElement, RElem, RPoly, RP_U, reduce_mod_xn_minus_1
+from .ringr import RElem, RPoly, RP_U, reduce_mod_xn_minus_1, reduce_rpoly
 
 DEFAULT_BUDGET = 1 << 24
 CENSUS_BUDGET = 1 << 16
@@ -99,6 +99,13 @@ def shift_packed(w, alpha: int, beta: int):
         p = ((p << 1) & bmask) | pw
         q = ((q << 1) & bmask) | (pw ^ qw)
     return a | (p << alpha) | (q << (alpha + beta))
+
+
+def ambient_word(first: BinPoly, second: RPoly, alpha: int, beta: int) -> int:
+    """The packed word of (first, second), each reduced in its quotient ring."""
+    first = reduce_mod_xn_minus_1(first, alpha)
+    second = reduce_rpoly(second, beta)
+    return first.bits | second.p.bits << alpha | second.q.bits << (alpha + beta)
 
 
 def umul_packed(w, alpha: int, beta: int):
@@ -377,11 +384,11 @@ class CodeSpec:
         """The second-block generator polynomial as an element of R[x]."""
         return y_generator_of(self.case, self.g, self.f)
 
-    def generators(self) -> list[AmbientElement]:
-        """The module generators (a, 0) and (l, y-part)."""
+    def generators(self) -> list[int]:
+        """The module generators (a, 0) and (l, y-part) as packed words."""
         return [
-            AmbientElement(self.a, RPoly(), self.alpha, self.beta),
-            AmbientElement(self.l, self.y_generator(), self.alpha, self.beta),
+            ambient_word(self.a, RPoly(), self.alpha, self.beta),
+            ambient_word(self.l, self.y_generator(), self.alpha, self.beta),
         ]
 
     def is_separable(self) -> bool:
@@ -491,15 +498,9 @@ def validate_spec(spec: CodeSpec) -> list[str]:
         violations.append(f"f = {spec.f} does not divide g = {spec.g}")
     if not spec.l.is_zero() and not spec.a.is_zero() and not spec.l.degree < spec.a.degree:
         violations.append(f"deg(l) = {spec.l.degree} is not below deg(a) = {spec.a.degree}")
-    if not violations:
-        if spec.case == 2:
-            witness = spec.h() * spec.l
-            if not spec.a.divides(witness):
-                violations.append("a does not divide ((x^beta-1)/g) * l")
-        else:
-            witness = xb * spec.l
-            if not spec.a.divides(witness):
-                violations.append("a does not divide (x^beta-1) * l")
+    if not violations and not spec.a.divides(l_window(spec.case, spec.beta, spec.g) * spec.l):
+        window = "((x^beta-1)/g)" if spec.case == 2 else "(x^beta-1)"
+        violations.append(f"a does not divide {window} * l")
     return violations
 
 
@@ -528,39 +529,28 @@ def spanning_set(spec: CodeSpec) -> list[SpanningElement]:
     alpha, beta = spec.alpha, spec.beta
     t1 = 0 if spec.a.is_zero() else spec.a.degree
     t2 = 0 if spec.g.is_zero() else spec.g.degree
-    h = spec.h()
-    lh = reduce_mod_xn_minus_1(spec.l * h, alpha)
+    lh = spec.l * spec.h()
 
-    def powers(base: AmbientElement, count: int, multiples: int, group: str):
-        # x^i * base: multiplying by x is the constacyclic shift.
+    def powers(first: BinPoly, second: RPoly, count: int, multiples: int, group: str):
+        # x^i * (first, second): multiplying by x is the constacyclic shift.
         elems = []
-        w = base.packed()
+        w = ambient_word(first, second, alpha, beta)
         for _ in range(count):
             elems.append(SpanningElement(w, alpha, beta, multiples, group))
             w = shift_packed(w, alpha, beta)
         return elems
 
     out: list[SpanningElement] = []
-    out += powers(
-        AmbientElement(spec.a, RPoly(), alpha, beta), alpha - t1, 2, "S1"
-    )
+    out += powers(spec.a, RPoly(), alpha - t1, 2, "S1")
     if spec.case == 1:
-        out += powers(
-            AmbientElement(spec.l, RPoly(spec.g), alpha, beta), beta - t2, 4, "S2"
-        )
-        out += powers(AmbientElement(lh, RP_U, alpha, beta), t2, 2, "S3")
+        out += powers(spec.l, RPoly(spec.g), beta - t2, 4, "S2")
+        out += powers(lh, RP_U, t2, 2, "S3")
     elif spec.case == 2:
-        out += powers(
-            AmbientElement(spec.l, RPoly(ZERO, spec.g), alpha, beta), beta - t2, 2, "S2"
-        )
+        out += powers(spec.l, RPoly(ZERO, spec.g), beta - t2, 2, "S2")
     else:
         t3 = 0 if spec.f.is_zero() else spec.f.degree
-        out += powers(
-            AmbientElement(spec.l, RPoly(spec.f * spec.g), alpha, beta), beta - t2, 4, "S2"
-        )
-        out += powers(
-            AmbientElement(lh, RPoly(ZERO, spec.f), alpha, beta), t2 - t3, 2, "S3"
-        )
+        out += powers(spec.l, RPoly(spec.f * spec.g), beta - t2, 4, "S2")
+        out += powers(lh, RPoly(ZERO, spec.f), t2 - t3, 2, "S3")
     return out
 
 
@@ -589,19 +579,19 @@ def cardinality_formula(spec: CodeSpec) -> int:
 
 
 def enumerate_closure(
-    generators: Sequence[AmbientElement],
+    words: Sequence[int],
     alpha: int,
     beta: int,
     budget: int = DEFAULT_BUDGET,
 ) -> CodeSet:
-    """Fixed-point closure of the generators under {+, x*, u*}."""
-    if not generators:
+    """Fixed-point closure of the packed generator words under {+, x*, u*}."""
+    if not words:
         raise ValueError("at least one generator is required")
-    check_budget(alpha + 2 * beta, budget)
-    if any(g.alpha != alpha or g.beta != beta for g in generators):
-        raise ValueError("generator lengths do not match alpha/beta")
-    packed = [g.packed() for g in generators]
-    return CodeSet(alpha, beta, closure_basis(packed, alpha, beta))
+    n = alpha + 2 * beta
+    check_budget(n, budget)
+    if any(w >> n for w in words):
+        raise ValueError(f"generator wider than alpha + 2*beta = {n} bits")
+    return CodeSet(alpha, beta, closure_basis(words, alpha, beta))
 
 
 def closure_of_spec(spec: CodeSpec, budget: int = DEFAULT_BUDGET) -> CodeSet:
@@ -621,6 +611,12 @@ def is_constacyclic(code: CodeSet) -> bool:
 # sweeping the valid spec space
 
 
+def l_window(case: int, beta: int, g: BinPoly) -> BinPoly:
+    """The window w of the l condition a | w*l: (x^beta-1)/g in case 2, else x^beta-1."""
+    xb = x_pow_n_minus_1(beta)
+    return xb // g if case == 2 else xb
+
+
 def l_base(a: BinPoly, window: BinPoly) -> BinPoly:
     """a / gcd(a, window): a | window*l exactly when this base divides l."""
     return a // poly_gcd(a, window)
@@ -637,7 +633,6 @@ def iter_spec_families(
     case 2.  Case 3 iterates f != 1 only; an f of 1 reproduces a case-1
     spec.
     """
-    xb = x_pow_n_minus_1(beta)
     divs_a = divisors_of_xn_minus_1(alpha)
     divs_b = divisors_of_xn_minus_1(beta)
     if case == 3:
@@ -647,11 +642,11 @@ def iter_spec_families(
             for g in divs_b:
                 if f.divides(g):
                     for a in divs_a:
-                        yield a, g, f, xb
+                        yield a, g, f, l_window(case, beta, g)
         return
     for a in divs_a:
         for g in divs_b:
-            yield a, g, None, xb if case == 1 else xb // g
+            yield a, g, None, l_window(case, beta, g)
 
 
 def iter_valid_specs(

@@ -31,11 +31,12 @@ from .gf2poly import (
     reciprocal,
     x_pow_n_minus_1,
 )
-from .ringr import RP_ZERO, AmbientElement, RPoly, reduce_rpoly
+from .ringr import RP_ZERO, RPoly, reduce_rpoly
 from .codewords import (
     DEFAULT_BUDGET,
     CodeSet,
     CodeSpec,
+    ambient_word,
     basis_insert,
     check_budget,
     check_word_width,
@@ -278,7 +279,7 @@ def recover_spec(
     y_rems: dict[RPoly, int] = {}
 
     def rem(first: BinPoly, second: RPoly) -> int:
-        return reduce_against(AmbientElement(first, second, alpha, beta).packed(), dual.basis)
+        return reduce_against(ambient_word(first, second, alpha, beta), dual.basis)
 
     def first_rem(bits: int) -> int:
         if bits not in first_rems:

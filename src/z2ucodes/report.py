@@ -15,11 +15,12 @@ import random
 import numpy as np
 
 from .gf2poly import ZERO, poly_gcd
-from .ringr import AmbientElement, RPoly, RP_U, reduce_mod_xn_minus_1
+from .ringr import RPoly, RP_U
 from .codewords import (
     DEFAULT_BUDGET,
     CodeSet,
     CodeSpec,
+    ambient_word,
     cardinality_formula,
     closure_of_spec,
     enumerate_closure,
@@ -193,7 +194,7 @@ def _type_checks(rows: _Rows, spec: CodeSpec, code: CodeSet, budget: int) -> Non
     expected_cx = cyclic_code_from_generator(poly_gcd(spec.a, spec.l), spec.alpha)
     rows.compare_sets("C_X is the cyclic code of gcd(a, l)", expected_cx.basis, cx.basis)
     y_only = enumerate_closure(
-        [AmbientElement(ZERO, spec.y_generator(), spec.alpha, spec.beta)],
+        [ambient_word(ZERO, spec.y_generator(), spec.alpha, spec.beta)],
         spec.alpha,
         spec.beta,
         budget,
@@ -202,11 +203,10 @@ def _type_checks(rows: _Rows, spec: CodeSpec, code: CodeSet, budget: int) -> Non
         "C_Y is generated by the second-block polynomial", puncture_y(y_only).basis, cy.basis
     )
     if spec.case == 1:
-        lh = reduce_mod_xn_minus_1(spec.l * spec.h(), spec.alpha)
         gens = [
-            AmbientElement(spec.a, RPoly(), spec.alpha, spec.beta),
-            AmbientElement(lh, RP_U, spec.alpha, spec.beta),
-            AmbientElement(ZERO, RPoly(ZERO, spec.g), spec.alpha, spec.beta),
+            ambient_word(spec.a, RPoly(), spec.alpha, spec.beta),
+            ambient_word(spec.l * spec.h(), RP_U, spec.alpha, spec.beta),
+            ambient_word(ZERO, RPoly(ZERO, spec.g), spec.alpha, spec.beta),
         ]
         cb_gen = enumerate_closure(gens, spec.alpha, spec.beta, budget)
         rows.compare_sets(

@@ -204,53 +204,3 @@ def mu_map(a: BinPoly, b: RPoly, alpha: int, beta: int) -> tuple[BinPoly, RPoly]
     q_new = q ^ (p & odd_mask)
     return reduce_mod_xn_minus_1(a, alpha), RPoly(BinPoly(p), BinPoly(q_new))
 
-
-class AmbientElement:
-    """Element of Z2[x]/(x^alpha - 1) x R[x]/(x^beta - 1 - u), kept reduced."""
-
-    __slots__ = ("first", "second", "alpha", "beta")
-
-    def __init__(self, first: BinPoly, second: RPoly, alpha: int, beta: int):
-        if alpha < 1 or beta < 1:
-            raise ValueError("alpha and beta must be >= 1")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "first", reduce_mod_xn_minus_1(first, alpha))
-        object.__setattr__(self, "second", reduce_rpoly(second, beta))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AmbientElement is immutable")
-
-    def __add__(self, other: "AmbientElement") -> "AmbientElement":
-        self._check(other)
-        return AmbientElement(self.first + other.first, self.second + other.second, self.alpha, self.beta)
-
-    def _check(self, other: "AmbientElement") -> None:
-        if self.alpha != other.alpha or self.beta != other.beta:
-            raise ValueError("ambient length mismatch")
-
-    def is_zero(self) -> bool:
-        return self.first.is_zero() and self.second.is_zero()
-
-    def packed(self) -> int:
-        """The packed word (a, p, q); both parts are already reduced."""
-        alpha, beta = self.alpha, self.beta
-        return self.first.bits | (self.second.p.bits << alpha) | (self.second.q.bits << (alpha + beta))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AmbientElement)
-            and self.alpha == other.alpha
-            and self.beta == other.beta
-            and self.first == other.first
-            and self.second == other.second
-        )
-
-    def __hash__(self):
-        return hash((self.alpha, self.beta, self.first.bits, self.second.p.bits, self.second.q.bits))
-
-    def __str__(self):
-        return f"({self.first}, {self.second})"
-
-    def __repr__(self):
-        return f"AmbientElement({self.first!r}, {self.second!r}, alpha={self.alpha}, beta={self.beta})"

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf2poly import parse_poly
-from .ringr import AmbientElement, RPoly
-from .codewords import CodeSet, CodeSpec, closure_of_spec, enumerate_closure
+from .ringr import RPoly
+from .codewords import CodeSet, CodeSpec, ambient_word, closure_of_spec, enumerate_closure
 from .gray import gray_image, min_distance
 
 
@@ -20,13 +20,14 @@ from .gray import gray_image, min_distance
 class Interpretation:
     label: str
     spec: "CodeSpec | None"
-    generators: "tuple[AmbientElement, ...] | None"
+    # packed generator words with their (alpha, beta)
+    generators: "tuple[tuple[int, ...], int, int] | None"
 
     def build(self) -> CodeSet:
         if self.spec is not None:
             return closure_of_spec(self.spec)
-        gens = list(self.generators)
-        return enumerate_closure(gens, gens[0].alpha, gens[0].beta)
+        words, alpha, beta = self.generators
+        return enumerate_closure(words, alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,9 @@ class ShowcaseCode:
     interpretations: tuple[Interpretation, ...]
 
 
-def _amb(a_text: str, p_text: str, q_text: str, alpha: int, beta: int) -> AmbientElement:
-    return AmbientElement(parse_poly(a_text), RPoly(parse_poly(p_text), parse_poly(q_text)), alpha, beta)
+def _generator(a: str, p: str, q: str, alpha: int, beta: int) -> tuple[tuple[int, ...], int, int]:
+    word = ambient_word(parse_poly(a), RPoly(parse_poly(p), parse_poly(q)), alpha, beta)
+    return (word,), alpha, beta
 
 
 SHOWCASE_CODES: tuple[ShowcaseCode, ...] = (
@@ -57,7 +59,7 @@ SHOWCASE_CODES: tuple[ShowcaseCode, ...] = (
             Interpretation(
                 "single generator (1+x, 1+x)",
                 None,
-                (_amb("1+x", "1+x", "0", 2, 3),),
+                _generator("1+x", "1+x", "0", 2, 3),
             ),
         ),
     ),
@@ -77,7 +79,7 @@ SHOWCASE_CODES: tuple[ShowcaseCode, ...] = (
             Interpretation(
                 "single generator (1+x+x^2+x^4, u*(1+x))",
                 None,
-                (_amb("1+x+x^2+x^4", "0", "1+x", 7, 7),),
+                _generator("1+x+x^2+x^4", "0", "1+x", 7, 7),
             ),
         ),
     ),
@@ -90,7 +92,7 @@ SHOWCASE_CODES: tuple[ShowcaseCode, ...] = (
             Interpretation(
                 "single generator (1+x, 1+x+x^3+x^5)",
                 None,
-                (_amb("1+x", "1+x+x^3+x^5", "0", 2, 6),),
+                _generator("1+x", "1+x+x^3+x^5", "0", 2, 6),
             ),
         ),
     ),

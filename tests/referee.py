@@ -10,15 +10,25 @@ counterpart here compares two independent implementations.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from z2ucodes.gf2poly import BinPoly
-from z2ucodes.ringr import R_ONE, R_ONE_U, R_U, R_ZERO, AmbientElement, RElem, RPoly
+from z2ucodes.ringr import R_ONE, R_ONE_U, R_U, R_ZERO, RElem, RPoly
 from z2ucodes.ringr import bar_reduce, reduce_mod_xn_minus_1, rpoly_mul_mod
 
 # The symbols in text order 0 < 1 < u < 1+u, with their names.
 SYMBOLS = {R_ZERO: "0", R_ONE: "1", R_U: "u", R_ONE_U: "1+u"}
 LEE = {R_ZERO: 0, R_ONE: 1, R_U: 2, R_ONE_U: 1}
 ORDER = {e: i for i, e in enumerate(SYMBOLS)}
+
+
+class Ambient(NamedTuple):
+    """(first, second) of Z2[x]/(x^alpha - 1) x R[x]/(x^beta - 1 - u)."""
+
+    first: BinPoly
+    second: RPoly
+    alpha: int
+    beta: int
 
 
 @dataclass(frozen=True)
@@ -56,15 +66,15 @@ class Codeword:
         return w
 
     @classmethod
-    def from_ambient(cls, elem: AmbientElement) -> "Codeword":
+    def from_ambient(cls, elem: Ambient) -> "Codeword":
         a = tuple(elem.first.coeff(i) for i in range(elem.alpha))
         return cls(a, tuple(elem.second.coeff(j) for j in range(elem.beta)))
 
-    def to_ambient(self) -> AmbientElement:
+    def to_ambient(self) -> Ambient:
         first = BinPoly(sum(bit << i for i, bit in enumerate(self.a)))
         p = BinPoly(sum(e.p << j for j, e in enumerate(self.b)))
         q = BinPoly(sum(e.q << j for j, e in enumerate(self.b)))
-        return AmbientElement(first, RPoly(p, q), self.alpha, self.beta)
+        return Ambient(first, RPoly(p, q), self.alpha, self.beta)
 
     def __add__(self, other: "Codeword") -> "Codeword":
         _same_lengths(self, other)
@@ -100,10 +110,10 @@ def shift(c: Codeword) -> Codeword:
     return Codeword(c.a[-1:] + c.a[:-1], b)
 
 
-def star_mul(d: RPoly, c: AmbientElement) -> AmbientElement:
+def star_mul(d: RPoly, c: Ambient) -> Ambient:
     """d(x) * (a(x), b(x)) = (dbar(x) a(x), d(x) b(x)) in the ambient module."""
     first = reduce_mod_xn_minus_1(bar_reduce(d) * c.first, c.alpha)
-    return AmbientElement(first, rpoly_mul_mod(d, c.second, c.beta), c.alpha, c.beta)
+    return Ambient(first, rpoly_mul_mod(d, c.second, c.beta), c.alpha, c.beta)
 
 
 def gray_symbol(e: RElem) -> tuple[int, int]:

@@ -3,10 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z2ucodes.gf2poly import ZERO, BinPoly, parse_poly
 from z2ucodes.ringr import (
-    AmbientElement,
     RPoly,
     R_ONE,
     R_ONE_U,
@@ -19,6 +20,7 @@ from z2ucodes.codewords import (
     CodeSpec,
     SpecParseError,
     SpecValidationError,
+    ambient_word,
     cardinality_formula,
     closure_of_spec,
     enumerate_closure,
@@ -33,7 +35,7 @@ from z2ucodes.codewords import (
 )
 from z2ucodes.cli import main
 
-from referee import Codeword, shift, star_mul, words
+from referee import Ambient, Codeword, shift, star_mul, words
 
 
 def P(text):
@@ -72,9 +74,9 @@ class TestShift:
 
 class TestStarMul:
     def test_identity_and_u_annihilation(self):
-        amb = AmbientElement(P("1+x"), RPoly(ZERO, P("1+x")), 2, 3)
+        amb = Ambient(P("1+x"), RPoly(ZERO, P("1+x")), 2, 3)
         assert star_mul(RPoly(BinPoly(1)), amb) == amb
-        assert star_mul(RPoly(ZERO, BinPoly(1)), amb).is_zero()
+        assert star_mul(RPoly(ZERO, BinPoly(1)), amb) == Ambient(ZERO, RPoly(), 2, 3)
 
     def test_x_star_is_shift(self):
         rng = random.Random(5)
@@ -89,7 +91,43 @@ class TestStarMul:
         for _ in range(200):
             alpha, beta = rng.randint(1, 5), rng.randint(1, 5)
             w = rng.getrandbits(alpha + 2 * beta)
-            assert Codeword.from_packed(w, alpha, beta).to_ambient().packed() == w
+            assert ambient_word(*Codeword.from_packed(w, alpha, beta).to_ambient()) == w
+
+
+def _word_by_unit_shifts(first, second, alpha, beta):
+    """The XOR of x^i * e over the set coefficients x^i of each part,
+    for the unit words e = (1|0...), (0|1,0...) and (0|u,0...); x^i * e
+    is the i-th shift, so the folding of x^alpha and of x^beta = 1+u is
+    the shift's."""
+    zero_b = (R_ZERO,) * (beta - 1)
+    units = [
+        Codeword((1,) + (0,) * (alpha - 1), (R_ZERO,) + zero_b),
+        Codeword((0,) * alpha, (R_ONE,) + zero_b),
+        Codeword((0,) * alpha, (R_U,) + zero_b),
+    ]
+    total = Codeword.zero(alpha, beta)
+    for bits, unit in zip((first.bits, second.p.bits, second.q.bits), units):
+        for i in range(bits.bit_length()):
+            if bits >> i & 1:
+                total = total + unit
+            unit = shift(unit)
+    return total.to_packed()
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """(first, second, alpha, beta) with degrees below 3*alpha and 3*beta,
+    so that both folds and the wrap x^beta = 1+u are exercised."""
+    alpha, beta = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    first = BinPoly(draw(st.integers(0, (1 << 3 * alpha) - 1)))
+    p, q = (draw(st.integers(0, (1 << 3 * beta) - 1)) for _ in range(2))
+    return first, RPoly(p, q), alpha, beta
+
+
+@settings(deadline=None)
+@given(polynomial_pairs())
+def test_ambient_word_matches_shifted_unit_words(pair):
+    assert ambient_word(*pair) == _word_by_unit_shifts(*pair)
 
 
 class TestValidateSpec:
@@ -100,6 +138,11 @@ class TestValidateSpec:
         bad = CodeSpec(2, 3, 1, P("1+x^2"), P("1"), P("1+x"))
         violations = validate_spec(bad)
         assert violations == ["a does not divide (x^beta-1) * l"]
+
+    def test_case2_divisibility_violation(self):
+        # (x-1)/g = 1 here, so a = 1+x^2 must divide l = 1.
+        bad = CodeSpec(2, 1, 2, P("1+x^2"), P("1"), P("1+x"))
+        assert validate_spec(bad) == ["a does not divide ((x^beta-1)/g) * l"]
 
     def test_zero_l_is_always_fine_on_divisibility(self):
         spec = CodeSpec(2, 3, 1, P("1+x^2"), ZERO, P("1+x"))
@@ -204,17 +247,21 @@ class TestCardinalityAndClosure:
         assert cardinality_formula(spec) == (1 << 0) * (1 << (2 * (3 - t2))) * 1
 
     def test_closure_of_zero_generator(self):
-        z = AmbientElement(ZERO, RPoly(), 1, 1)
-        assert len(enumerate_closure([z], 1, 1)) == 1
+        assert len(enumerate_closure([0], 1, 1)) == 1
 
     def test_closure_single_generator_example(self):
-        gen = AmbientElement(P("1"), RPoly(ZERO, P("1")), 1, 1)
+        gen = ambient_word(P("1"), RPoly(ZERO, P("1")), 1, 1)
         cs = enumerate_closure([gen], 1, 1)
         assert len(cs) == 2
         assert {str(w) for w in words(cs)} == {"0|0", "1|u"}
 
+    def test_closure_refuses_a_word_wider_than_the_ambient_space(self):
+        assert len(enumerate_closure([0b100], 1, 1)) == 2
+        with pytest.raises(ValueError, match="wider than alpha"):
+            enumerate_closure([0b1, 0b1000], 1, 1)
+
     def test_budget(self):
-        gen = AmbientElement(P("1"), RPoly(), 3, 3)
+        gen = ambient_word(P("1"), RPoly(), 3, 3)
         with pytest.raises(BudgetExceededError):
             enumerate_closure([gen], 3, 3, budget=16)
 
@@ -223,7 +270,7 @@ class TestCodeSet:
     def test_contains_and_membership(self):
         cs = closure_of_spec(WORKED)
         assert cs.contains_packed(Codeword.zero(2, 3).to_packed())
-        gen = Codeword.from_ambient(WORKED.generators()[1])
+        gen = Codeword.from_packed(WORKED.generators()[1], 2, 3)
         assert cs.contains_packed(gen.to_packed())
         assert not cs.contains_packed(Codeword((1, 0), (R_ZERO,) * 3).to_packed())
 

@@ -7,12 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from z2ucodes.gf2poly import ZERO, BinPoly, parse_poly, reciprocal, x_pow_n_minus_1
-from z2ucodes.ringr import R_ONE, R_U, R_ZERO, RP_ZERO, AmbientElement
+from z2ucodes.ringr import R_ONE, R_U, R_ZERO, RP_ZERO
 from z2ucodes import duality
 from z2ucodes.codewords import (
     BudgetExceededError,
     CodeSet,
     CodeSpec,
+    ambient_word,
     closure_of_spec,
     iter_valid_specs,
     reduce_against,
@@ -226,7 +227,7 @@ def _recover_by_candidate_loop(dual, cases, close):
     alpha, beta = dual.alpha, dual.beta
 
     def rem(first, second):
-        return reduce_against(AmbientElement(first, second, alpha, beta).packed(), dual.basis)
+        return reduce_against(ambient_word(first, second, alpha, beta), dual.basis)
 
     for case in cases:
         for cand in iter_valid_specs(alpha, beta, (case,)):

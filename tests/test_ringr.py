@@ -4,13 +4,13 @@ import random
 import pytest
 
 from z2ucodes.gf2poly import BinPoly, parse_poly
+from z2ucodes.codewords import ambient_word
 from z2ucodes.ringr import (
     RELEMS,
     R_ONE,
     R_ONE_U,
     R_U,
     R_ZERO,
-    AmbientElement,
     RElem,
     RPoly,
     bar_reduce,
@@ -155,17 +155,12 @@ class TestMuMap:
 
 class TestAmbient:
     def test_eager_reduction(self):
-        amb = AmbientElement(parse_poly("x^3"), RP("x^4"), 2, 3)
-        assert amb.first == parse_poly("x")
-        assert amb.second == RP("x", "x")
-
-    def test_addition_and_mismatch(self):
-        a = AmbientElement(parse_poly("1"), RP("x"), 2, 3)
-        b = AmbientElement(parse_poly("x"), RP("x"), 2, 3)
-        assert (a + b).first == parse_poly("1+x")
-        assert (a + b).second.is_zero()
-        with pytest.raises(ValueError):
-            a + AmbientElement(parse_poly("1"), RP("1"), 2, 2)
+        # x^3 = x mod x^2 - 1.  Mod x^3 - 1 - u, x^4 = x*(1+u) and
+        # u*x^3 = u*(1+u) = u, so x^4 + u*x^3 = x + u*(1+x).
+        word = ambient_word(parse_poly("x^3"), RP("x^4", "x^3"), 2, 3)
+        assert word == ambient_word(parse_poly("x"), RP("x", "1+x"), 2, 3)
+        # bits [0, 2): x; [2, 5): p = x; [5, 8): q = 1+x
+        assert word == 0b011_010_10
 
 
 class TestGrammar:

@@ -413,16 +413,15 @@ class TestPuncturedSizeIdentities:
 class TestCbGenerators:
     def test_case1_cb_equals_three_generator_closure(self):
         from z2ucodes.gf2poly import ZERO
-        from z2ucodes.ringr import AmbientElement, RP_U, RPoly, reduce_mod_xn_minus_1
-        from z2ucodes.codewords import enumerate_closure
+        from z2ucodes.ringr import RP_U, RPoly
+        from z2ucodes.codewords import ambient_word, enumerate_closure
 
         for alpha, beta in ((2, 3), (3, 3)):
             for spec in iter_valid_specs(alpha, beta, cases=(1,)):
                 code = closure_of_spec(spec)
-                lh = reduce_mod_xn_minus_1(spec.l * spec.h(), alpha)
                 gens = [
-                    AmbientElement(spec.a, RPoly(), alpha, beta),
-                    AmbientElement(lh, RP_U, alpha, beta),
-                    AmbientElement(ZERO, RPoly(ZERO, spec.g), alpha, beta),
+                    ambient_word(spec.a, RPoly(), alpha, beta),
+                    ambient_word(spec.l * spec.h(), RP_U, alpha, beta),
+                    ambient_word(ZERO, RPoly(ZERO, spec.g), alpha, beta),
                 ]
                 assert enumerate_closure(gens, alpha, beta) == subcode_cb(code), spec
