@@ -17,6 +17,7 @@ from .codewords import (
     CENSUS_BUDGET,
     DEFAULT_BUDGET,
     BudgetExceededError,
+    CodeSet,
     CodeSpec,
     SpecParseError,
     cardinality_formula,
@@ -49,99 +50,68 @@ def factor_doc(n: int) -> dict:
     return doc
 
 
-def _validated(doc: dict, spec: CodeSpec) -> bool:
-    """Record the spec's validity, and its violations if any, in doc."""
+def spec_doc(args: argparse.Namespace, body, **head) -> dict:
+    """The document of a spec command: its header, the spec's validity
+    and, for a valid spec, body(args, spec, code) for the spec's code."""
+    spec = load_spec_file(args.spec)
+    doc = {"command": args.command, "spec": spec.serialize().strip().splitlines(), **head}
     violations = validate_spec(spec)
     doc["valid"] = not violations
     if violations:
         doc["violations"] = violations
-    return not violations
+    else:
+        doc.update(body(args, spec, closure_of_spec(spec, args.budget)))
+    return doc
 
 
-def construct_doc(spec: CodeSpec, budget: int, emit_words: bool) -> dict:
-    doc: dict = {
-        "command": "construct",
-        "spec": spec.serialize().strip().splitlines(),
-    }
-    if not _validated(doc, spec):
-        return doc
-    code = closure_of_spec(spec, budget)
-    doc["size"] = len(code)
-    doc["log2_size"] = code.rank
-    doc["cardinality_formula"] = cardinality_formula(spec)
-    doc["formula_matches"] = cardinality_formula(spec) == len(code)
+def _construct(args: argparse.Namespace, spec: CodeSpec, code: CodeSet) -> dict:
     groups: dict[str, int] = {}
     for el in spanning_set(spec):
         groups[el.group] = groups.get(el.group, 0) + 1
-    doc["spanning_set_sizes"] = groups
-    if emit_words:
+    doc = {
+        "size": len(code),
+        "log2_size": code.rank,
+        "cardinality_formula": cardinality_formula(spec),
+        "formula_matches": cardinality_formula(spec) == len(code),
+        "spanning_set_sizes": groups,
+    }
+    if args.emit_words:
         doc["words"] = word_texts(code.packed(), code.alpha, code.beta)
     return doc
 
 
-def params_doc(spec: CodeSpec, budget: int) -> dict:
-    doc: dict = {
-        "command": "params",
-        "spec": spec.serialize().strip().splitlines(),
-    }
-    if not _validated(doc, spec):
-        return doc
+def _params(args: argparse.Namespace, spec: CodeSpec, code: CodeSet) -> dict:
     stated = type_from_formulas(spec)
-    measured = type_from_enumeration(closure_of_spec(spec, budget))
-    def as_dict(t):
-        return {
-            "k0": t.k0, "k1": t.k1, "k2": t.k2,
-            "k0p": t.k0p, "k0pp": t.k0pp, "k2p": t.k2p, "k2pp": t.k2pp,
-        }
-    doc["type_from_formulas"] = as_dict(stated)
-    doc["type_from_enumeration"] = as_dict(measured)
-    doc["match"] = stated == measured
-    return doc
-
-
-def dual_doc(spec: CodeSpec, budget: int) -> dict:
-    doc: dict = {
-        "command": "dual",
-        "spec": spec.serialize().strip().splitlines(),
+    measured = type_from_enumeration(code)
+    keys = ("k0", "k1", "k2", "k0p", "k0pp", "k2p", "k2pp")
+    return {
+        "type_from_formulas": {k: getattr(stated, k) for k in keys},
+        "type_from_enumeration": {k: getattr(measured, k) for k in keys},
+        "match": stated == measured,
     }
-    if not _validated(doc, spec):
-        return doc
-    dual = dual_bruteforce(closure_of_spec(spec, budget), budget)
-    report = build_dual_report(spec, dual, budget)
-    doc.update(report.to_dict())
-    return doc
 
 
-def gray_doc(spec: CodeSpec, layout: str, budget: int) -> dict:
-    doc: dict = {
-        "command": "gray",
-        "spec": spec.serialize().strip().splitlines(),
-        "layout": layout,
-    }
-    if not _validated(doc, spec):
-        return doc
-    code = closure_of_spec(spec, budget)
-    img = gray_image(code, layout)
+def _dual(args: argparse.Namespace, spec: CodeSpec, code: CodeSet) -> dict:
+    return build_dual_report(spec, dual_bruteforce(code, args.budget), args.budget).to_dict()
+
+
+def _gray(args: argparse.Namespace, spec: CodeSpec, code: CodeSet) -> dict:
+    img = gray_image(code, args.layout)
     d = min_distance(code) if code.rank > 0 else 0
-    doc["n"] = img.n
-    doc["k"] = img.rank
-    doc["d"] = d
-    doc["export"] = format_binary_code(img, layout, d).splitlines()
-    return doc
-
-
-def census_doc(alpha: int, beta: int, budget: int) -> dict:
-    rows = census_table([(alpha, beta)], budget)
-    return {"command": "census", "table": rows}
+    export = format_binary_code(img, args.layout, d).splitlines()
+    return {"n": img.n, "k": img.rank, "d": d, "export": export}
 
 
 def search_doc(alpha_max: int, beta_max: int, d_min: "int | None", budget: int) -> dict:
-    pairs = [(a, b) for a in range(1, alpha_max + 1) for b in range(1, beta_max + 1)]
-    for alpha, beta in pairs:
+    def pairs():
+        # Lazy, so a huge range is refused at its first pair past the budget.
+        return ((a, b) for a in range(1, alpha_max + 1) for b in range(1, beta_max + 1))
+
+    for alpha, beta in pairs():
         check_budget(alpha + 2 * beta, budget)
     rows = []
     distance_cache: dict = {}
-    for alpha, beta in pairs:
+    for alpha, beta in pairs():
         for spec in iter_valid_specs(alpha, beta):
             code = closure_of_spec(spec, budget)
             if code.rank < 1:
@@ -184,12 +154,6 @@ def _length(text: str) -> int:
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--budget", type=_length, default=None)
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="z2ucodes",
@@ -197,43 +161,77 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("factor", help="factor x^n-1 over GF(2)")
-    p.add_argument("--n", type=_length, required=True)
-    _add_common(p)
+    def command(name, help, run, budget=DEFAULT_BUDGET, **options):
+        """Register one subcommand: its options (--emit-words for
+        emit_words), then --format and, where the command reads a budget,
+        --budget with the command's default.  run(args) builds the doc."""
+        p = sub.add_parser(name, help=help)
+        for dest, kwargs in options.items():
+            p.add_argument("--" + dest.replace("_", "-"), **kwargs)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        if budget is not None:
+            p.add_argument("--budget", type=_length, default=budget)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("construct", help="enumerate the code of a spec file")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--emit-words", action="store_true")
-    _add_common(p)
-
-    p = sub.add_parser("params", help="type parameters: formulas vs enumeration")
-    p.add_argument("--spec", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("dual", help="brute-force dual and degree predictions")
-    p.add_argument("--spec", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("gray", help="binary image in the golden export format")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--layout", choices=("interleaved", "block"), default="block")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="run every oracle-vs-formula check on a spec")
-    p.add_argument("--spec", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("census", help="count all submodules vs the stated formula")
-    p.add_argument("--alpha", type=_length, required=True)
-    p.add_argument("--beta", type=_length, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("search", help="rank all valid specs by Gray [n,k,d]")
-    p.add_argument("--alpha-max", type=_length, required=True)
-    p.add_argument("--beta-max", type=_length, required=True)
-    p.add_argument("--d-min", type=int, default=None)
-    _add_common(p)
-
+    # Runners look program functions up when called, not when the parser
+    # is built, so patches of the module's names take effect.
+    length = {"type": _length, "required": True}
+    spec = {"required": True}
+    command(
+        "factor", "factor x^n-1 over GF(2)", lambda args: factor_doc(args.n), budget=None, n=length
+    )
+    command(
+        "construct",
+        "enumerate the code of a spec file",
+        lambda args: spec_doc(args, _construct),
+        spec=spec,
+        emit_words={"action": "store_true"},
+    )
+    command(
+        "params",
+        "type parameters: formulas vs enumeration",
+        lambda args: spec_doc(args, _params),
+        spec=spec,
+    )
+    command(
+        "dual",
+        "brute-force dual and degree predictions",
+        lambda args: spec_doc(args, _dual),
+        spec=spec,
+    )
+    command(
+        "gray",
+        "binary image in the golden export format",
+        lambda args: spec_doc(args, _gray, layout=args.layout),
+        spec=spec,
+        layout={"choices": ("interleaved", "block"), "default": "block"},
+    )
+    command(
+        "verify",
+        "run every oracle-vs-formula check on a spec",
+        lambda args: verify_report(load_spec_file(args.spec), args.budget, args.seed),
+        spec=spec,
+    ).add_argument("--seed", type=int, default=DEFAULT_SEED)
+    command(
+        "census",
+        "count all submodules vs the stated formula",
+        lambda args: {
+            "command": "census",
+            "table": census_table([(args.alpha, args.beta)], args.budget),
+        },
+        budget=CENSUS_BUDGET,
+        alpha=length,
+        beta=length,
+    )
+    command(
+        "search",
+        "rank all valid specs by Gray [n,k,d]",
+        lambda args: search_doc(args.alpha_max, args.beta_max, args.d_min, args.budget),
+        alpha_max=length,
+        beta_max=length,
+        d_min={"type": int},
+    )
     return parser
 
 
@@ -244,33 +242,10 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _run(args: argparse.Namespace) -> dict:
-    budget = args.budget if args.budget is not None else DEFAULT_BUDGET
-    if args.command == "factor":
-        return factor_doc(args.n)
-    if args.command == "census":
-        census_budget = args.budget if args.budget is not None else CENSUS_BUDGET
-        return census_doc(args.alpha, args.beta, census_budget)
-    if args.command == "search":
-        return search_doc(args.alpha_max, args.beta_max, args.d_min, budget)
-    spec = load_spec_file(args.spec)
-    if args.command == "construct":
-        return construct_doc(spec, budget, args.emit_words)
-    if args.command == "params":
-        return params_doc(spec, budget)
-    if args.command == "dual":
-        return dual_doc(spec, budget)
-    if args.command == "gray":
-        return gray_doc(spec, args.layout, budget)
-    if args.command == "verify":
-        return verify_report(spec, budget, args.seed)
-    raise AssertionError(f"unhandled command {args.command}")
-
-
 def main(argv: "list[str] | None" = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        doc = _run(args)
+        doc = args.run(args)
     except (SpecParseError, BudgetExceededError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,6 +33,7 @@ from .gf2poly import (
     poly_gcd,
     divisors_of_xn_minus_1,
     x_pow_n_minus_1,
+    xn_minus_1_mod,
 )
 from .ringr import RElem, RPoly, RP_U, reduce_mod_xn_minus_1, reduce_rpoly
 
@@ -68,7 +69,7 @@ class SpecParseError(ValueError):
 
 def check_budget(nbits: int, budget: int) -> None:
     """Refuse to enumerate an ambient space of 2^nbits words past the budget."""
-    if 1 << nbits > budget:
+    if budget < 1 or nbits >= budget.bit_length():
         raise BudgetExceededError(f"ambient size 2^{nbits} exceeds budget {budget}")
 
 
@@ -488,17 +489,15 @@ def load_spec_file(path) -> CodeSpec:
 def validate_spec(spec: CodeSpec) -> list[str]:
     """Check the structural constraints; violations are data, not errors."""
     violations: list[str] = []
-    xa = x_pow_n_minus_1(spec.alpha)
-    xb = x_pow_n_minus_1(spec.beta)
-    if not spec.a.divides(xa):
+    if spec.a.is_zero() or xn_minus_1_mod(spec.alpha, spec.a.bits):
         violations.append(f"a = {spec.a} does not divide x^{spec.alpha}-1")
-    if not spec.g.divides(xb):
+    if spec.g.is_zero() or xn_minus_1_mod(spec.beta, spec.g.bits):
         violations.append(f"g = {spec.g} does not divide x^{spec.beta}-1")
     if spec.case == 3 and not spec.f.divides(spec.g):
         violations.append(f"f = {spec.f} does not divide g = {spec.g}")
     if not spec.l.is_zero() and not spec.a.is_zero() and not spec.l.degree < spec.a.degree:
         violations.append(f"deg(l) = {spec.l.degree} is not below deg(a) = {spec.a.degree}")
-    if not violations and not spec.a.divides(l_window(spec.case, spec.beta, spec.g) * spec.l):
+    if not violations and not (spec.l % l_base(spec.case, spec.a, spec.g, spec.beta)).is_zero():
         window = "((x^beta-1)/g)" if spec.case == 2 else "(x^beta-1)"
         violations.append(f"a does not divide {window} * l")
     return violations
@@ -596,6 +595,8 @@ def enumerate_closure(
 
 def closure_of_spec(spec: CodeSpec, budget: int = DEFAULT_BUDGET) -> CodeSet:
     """Closure oracle applied to the spec's two generators."""
+    # Refuse before the generators pack a word of alpha + 2*beta bits.
+    check_budget(spec.alpha + 2 * spec.beta, budget)
     return enumerate_closure(spec.generators(), spec.alpha, spec.beta, budget)
 
 
@@ -611,27 +612,27 @@ def is_constacyclic(code: CodeSet) -> bool:
 # sweeping the valid spec space
 
 
-def l_window(case: int, beta: int, g: BinPoly) -> BinPoly:
-    """The window w of the l condition a | w*l: (x^beta-1)/g in case 2, else x^beta-1."""
-    xb = x_pow_n_minus_1(beta)
-    return xb // g if case == 2 else xb
+def l_base(case: int, a: BinPoly, g: BinPoly, beta: int) -> BinPoly:
+    """The base b of the l condition: a | w*l exactly when b divides l,
+    for the window w = (x^beta-1)/g in case 2 and x^beta-1 otherwise.
 
-
-def l_base(a: BinPoly, window: BinPoly) -> BinPoly:
-    """a / gcd(a, window): a | window*l exactly when this base divides l."""
-    return a // poly_gcd(a, window)
+    b = m / gcd(m, x^beta-1), where m = a*g in case 2 (given g | x^beta-1,
+    a | ((x^beta-1)/g)*l iff a*g | (x^beta-1)*l) and m = a otherwise.  The
+    gcd starts from (x^beta-1) mod m, so x^beta-1 is never built.
+    """
+    m = a * g if case == 2 else a
+    return m // poly_gcd(m, BinPoly(xn_minus_1_mod(beta, m.bits)))
 
 
 def iter_spec_families(
     alpha: int, beta: int, case: int
-) -> Iterator[tuple[BinPoly, BinPoly, "BinPoly | None", BinPoly]]:
-    """(a, g, f, window) of every valid spec family of one case, in sweep order.
+) -> Iterator[tuple[BinPoly, BinPoly, "BinPoly | None"]]:
+    """(a, g, f) of every valid spec family of one case, in sweep order.
 
-    The family's valid l are those with deg(l) < deg(a) and a | window*l:
-    the m * l_base(a, window) with deg(m) < deg(a) - deg(base), in the
-    order of m's bit pattern.  The window is x^beta-1, or (x^beta-1)/g in
-    case 2.  Case 3 iterates f != 1 only; an f of 1 reproduces a case-1
-    spec.
+    The family's valid l are those with deg(l) < deg(a) and base | l, for
+    base = l_base(case, a, g, beta): the m * base with deg(m) < deg(a) -
+    deg(base), in the order of m's bit pattern.  Case 3 iterates f != 1
+    only; an f of 1 reproduces a case-1 spec.
     """
     divs_a = divisors_of_xn_minus_1(alpha)
     divs_b = divisors_of_xn_minus_1(beta)
@@ -642,11 +643,11 @@ def iter_spec_families(
             for g in divs_b:
                 if f.divides(g):
                     for a in divs_a:
-                        yield a, g, f, l_window(case, beta, g)
+                        yield a, g, f
         return
     for a in divs_a:
         for g in divs_b:
-            yield a, g, None, l_window(case, beta, g)
+            yield a, g, None
 
 
 def iter_valid_specs(
@@ -657,7 +658,7 @@ def iter_valid_specs(
     then l by l."""
     for case in (1, 2, 3):
         if case in cases:
-            for a, g, f, window in iter_spec_families(alpha, beta, case):
-                base = l_base(a, window)
+            for a, g, f in iter_spec_families(alpha, beta, case):
+                base = l_base(case, a, g, beta)
                 for mbits in range(1 << (a.degree - base.degree)):
                     yield CodeSpec(alpha, beta, case, a, BinPoly(mbits) * base, g, f)

@@ -287,7 +287,7 @@ def recover_spec(
         return first_rems[bits]
 
     for case in cases:
-        for a, g, f, window in iter_spec_families(alpha, beta, case):
+        for a, g, f in iter_spec_families(alpha, beta, case):
             if first_rem(a.bits):
                 continue
             y = y_generator_of(case, g, f)
@@ -295,7 +295,7 @@ def recover_spec(
                 continue
             if y not in y_rems:
                 y_rems[y] = rem(ZERO, y)
-            base = l_base(a, window)
+            base = l_base(case, a, g, beta)
             free = a.degree - base.degree
             table = xor_table([first_rem(base.bits << i) for i in range(free)])
             for mbits in np.flatnonzero(table == y_rems[y]).tolist():

@@ -237,13 +237,39 @@ def poly_divmod(a: BinPoly, b: BinPoly) -> tuple[BinPoly, BinPoly]:
     return BinPoly(q), BinPoly(ra)
 
 
+def _mod_bits(a: int, m: int) -> int:
+    """a mod m on bit-packed polynomials; m must be nonzero."""
+    dm = m.bit_length()
+    while (da := a.bit_length()) >= dm:
+        a ^= m << (da - dm)
+    return a
+
+
+def xn_minus_1_mod(n: int, m: int) -> int:
+    """(x^n - 1) mod m on bit-packed polynomials, without building x^n - 1.
+
+    Square-and-multiply over the bits of n, so the cost grows with
+    log(n).  The leading bits of n are taken as one power below about
+    x^(4 deg m + 128), so a small n costs a single reduction.
+    """
+    if not m:
+        raise ZeroDivisionError("division by zero polynomial")
+    low = max(n.bit_length() - max(2 * m.bit_length(), 64).bit_length(), 0)
+    r = _mod_bits(1 << (n >> low), m)
+    for i in reversed(range(low)):
+        # x^(n >> i) = (x^(n >> (i+1)))^2 * x^(bit i of n); squaring over
+        # GF(2) moves bit j to bit 2j.
+        r = _mod_bits(int("0".join(bin(r)[2:]), 2) << (n >> i & 1), m)
+    return _mod_bits(r ^ 1, m)
+
+
 def poly_gcd(a: BinPoly, b: BinPoly) -> BinPoly:
     """Greatest common divisor; monic automatically over GF(2)."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     x, y = a.bits, b.bits
     while y:
-        x, y = y, poly_divmod(BinPoly(x), BinPoly(y))[1].bits
+        x, y = y, _mod_bits(x, y)
     return BinPoly(x)
 
 

@@ -184,7 +184,7 @@ def _join_irreducibles(
     """
     nbits = alpha + 2 * beta
     check_budget(nbits, budget)
-    if 1 << nbits > sys.maxsize:
+    if nbits >= sys.maxsize.bit_length():
         raise BudgetExceededError(
             f"word length {nbits} bits is too wide for the census: "
             f"2^{nbits} orbit marks exceed the largest bytearray"
@@ -265,10 +265,12 @@ def census_table(
     """Comparison rows (alpha, beta, formula count, census count, match)."""
     rows = []
     for alpha, beta in pairs:
+        # The census refuses an oversized pair before the formula walks
+        # the cyclotomic classes of alpha and beta.
+        census = count_codes_census(alpha, beta, budget)
         formula = None
         if alpha % 2 == 1 and beta % 2 == 1:
             formula = count_codes_formula(alpha, beta)
-        census = count_codes_census(alpha, beta, budget)
         rows.append(
             {
                 "alpha": alpha,

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from z2ucodes import cli, gf2poly
-from z2ucodes.codewords import closure_of_spec
+from z2ucodes.codewords import CENSUS_BUDGET, DEFAULT_BUDGET, closure_of_spec
 from z2ucodes.cli import main
 from z2ucodes.report import render_json, render_text
 
@@ -262,6 +263,63 @@ def test_census_too_wide_for_orbit_marks_exits_2(capsys, beta):
     assert f"word length {1 + 2 * beta} bits" in err
 
 
+# The options of each subcommand, in usage order: --budget only where the
+# command reads a budget, --seed only where it draws a sample.
+COMMAND_OPTIONS = {
+    "factor": ["--n", "--format"],
+    "construct": ["--spec", "--emit-words", "--format", "--budget"],
+    "params": ["--spec", "--format", "--budget"],
+    "dual": ["--spec", "--format", "--budget"],
+    "gray": ["--spec", "--layout", "--format", "--budget"],
+    "verify": ["--spec", "--format", "--budget", "--seed"],
+    "census": ["--alpha", "--beta", "--format", "--budget"],
+    "search": ["--alpha-max", "--beta-max", "--d-min", "--format", "--budget"],
+}
+
+
+def test_each_command_takes_exactly_its_options():
+    actions = cli.build_parser()._actions
+    commands = next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(commands) == list(COMMAND_OPTIONS)
+    for name, parser in commands.items():
+        flags = [f for a in parser._actions for f in a.option_strings if f not in ("-h", "--help")]
+        assert flags == COMMAND_OPTIONS[name], name
+        budget = {"factor": None, "census": CENSUS_BUDGET}.get(name, DEFAULT_BUDGET)
+        assert parser.get_default("budget") == budget, name
+
+
+@pytest.mark.parametrize("option", ["--seed", "--budget"])
+def test_factor_refuses_options_it_does_not_read(capsys, option):
+    code, out, err = run_cli(capsys, "factor", "--n", "7", option, "3")
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {option} 3" in err
+
+
+HUGE = 10**12
+
+
+@pytest.mark.parametrize("command", ["construct", "params", "dual", "gray", "verify"])
+@pytest.mark.parametrize("alpha, beta", [(HUGE, 3), (3, HUGE)], ids=["huge-alpha", "huge-beta"])
+def test_huge_spec_lengths_exit_2_on_the_budget(capsys, tmp_path, command, alpha, beta):
+    # Validation never builds x^n-1, and the closure refuses before packing words.
+    path = tmp_path / "huge.spec"
+    path.write_text(f"alpha = {alpha}\nbeta = {beta}\ncase = 1\na = 1+x\nl = 0\ng = 1+x\n")
+    code, out, err = run_cli(capsys, command, "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: ambient size 2^{alpha + 2 * beta} exceeds budget {DEFAULT_BUDGET}\n"
+
+
+@pytest.mark.parametrize("alpha", [HUGE, 10**21], ids=["even", "odd"])
+def test_census_of_huge_length_exits_2_on_the_budget(capsys, alpha):
+    # An odd pair has a stated formula; the census refuses before computing it.
+    code, out, err = run_cli(capsys, "census", "--alpha", str(alpha), "--beta", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: ambient size 2^{alpha + 2} exceeds budget {CENSUS_BUDGET}\n"
+
+
 class TestSearchCommand:
     def test_small_range(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--alpha-max", "2", "--beta-max", "3")
@@ -300,6 +358,13 @@ class TestSearchCommand:
         assert out == ""
         assert err == "error: ambient size 2^10 exceeds budget 512\n"
         assert closed == []
+
+    def test_huge_range_refused_at_its_first_pair_past_the_budget(self, capsys):
+        argv = ["search", "--alpha-max", str(HUGE), "--beta-max", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: ambient size 2^25 exceeds budget {DEFAULT_BUDGET}\n"
 
 
 class TestDeterminismAndParity:

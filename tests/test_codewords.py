@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2ucodes.gf2poly import ZERO, BinPoly, parse_poly
+from z2ucodes.gf2poly import (
+    ZERO,
+    BinPoly,
+    divisors_of_xn_minus_1,
+    parse_poly,
+    poly_gcd,
+    x_pow_n_minus_1,
+)
 from z2ucodes.ringr import (
     RPoly,
     R_ONE,
@@ -26,6 +33,7 @@ from z2ucodes.codewords import (
     enumerate_closure,
     is_constacyclic,
     iter_valid_specs,
+    l_base,
     parse_spec_text,
     shift_packed,
     spanning_set,
@@ -128,6 +136,24 @@ def polynomial_pairs(draw):
 @given(polynomial_pairs())
 def test_ambient_word_matches_shifted_unit_words(pair):
     assert ambient_word(*pair) == _word_by_unit_shifts(*pair)
+
+
+@st.composite
+def l_base_inputs(draw):
+    """(case, a, g, beta) with g | x^beta-1 and any nonzero a."""
+    beta = draw(st.integers(1, 9))
+    g = draw(st.sampled_from(divisors_of_xn_minus_1(beta)))
+    a = BinPoly(draw(st.integers(1, (1 << 12) - 1)))
+    return draw(st.sampled_from((1, 2, 3))), a, g, beta
+
+
+@settings(deadline=None)
+@given(l_base_inputs())
+def test_l_base_matches_the_gcd_with_the_built_window(inputs):
+    # The window of the l condition, built in full: (x^beta-1)/g in case 2.
+    case, a, g, beta = inputs
+    window = x_pow_n_minus_1(beta) // g if case == 2 else x_pow_n_minus_1(beta)
+    assert l_base(case, a, g, beta) == a // poly_gcd(a, window)
 
 
 class TestValidateSpec:

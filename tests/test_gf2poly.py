@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z2ucodes.gf2poly import (
     MAX_EXPONENT,
@@ -19,6 +21,7 @@ from z2ucodes.gf2poly import (
     poly_gcd,
     reciprocal,
     x_pow_n_minus_1,
+    xn_minus_1_mod,
 )
 
 
@@ -168,6 +171,25 @@ class TestDivisors:
             for d in divisors:
                 assert d.divides(target)
             assert len(set(divisors)) == len(divisors)
+
+
+class TestXnMinus1Mod:
+    @pytest.mark.parametrize("n, remainder", [(10**12, "1+x"), (3 * 10**11, "0")])
+    def test_known_answer_at_huge_n(self, n, remainder):
+        # x^3 = 1 mod 1+x+x^2, so x^n-1 = x^(n mod 3)-1: zero exactly when 3 | n.
+        assert xn_minus_1_mod(n, P("1+x+x^2").bits) == P(remainder).bits
+
+    def test_zero_modulus_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            xn_minus_1_mod(5, 0)
+
+
+# n past the single-power prefix, for moduli of up to 80 bits, exercises
+# the squaring loop as well as the first reduction.
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 3000), st.integers(1, (1 << 80) - 1))
+def test_xn_minus_1_mod_matches_the_built_polynomial(n, m):
+    assert xn_minus_1_mod(n, m) == (x_pow_n_minus_1(n) % BinPoly(m)).bits
 
 
 class TestTextGrammar:
