@@ -12,7 +12,7 @@ import argparse
 import functools
 import sys
 
-from .gf2poly import factor, cyclotomic_class_count, x_pow_n_minus_1
+from .gf2poly import MAX_EXPONENT, factor, cyclotomic_class_count, x_pow_n_minus_1
 from .codewords import (
     CENSUS_BUDGET,
     DEFAULT_BUDGET,
@@ -36,6 +36,9 @@ from .report import DEFAULT_SEED, render, verify_report
 
 
 def factor_doc(n: int) -> dict:
+    # x^n - 1 is an (n+1)-bit integer: the grammar's exponent limit bounds it.
+    if n > MAX_EXPONENT:
+        raise BudgetExceededError(f"n = {n} exceeds the limit {MAX_EXPONENT}")
     table = [
         {"factor": str(f), "multiplicity": m} for f, m in factor(x_pow_n_minus_1(n))
     ]

@@ -7,12 +7,18 @@ the Gray map and the Lee weight map each symbol on its own, and the
 inner product sums products in R.  Only ``from_packed`` and ``to_packed``
 know the packed layout, so a test that compares a packed map with its
 counterpart here compares two independent implementations.
+
+``min_distance_scan`` is the exhaustive scan over every word of a code,
+the referee of the basis-only minimum distance.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from z2ucodes.gf2poly import BinPoly
+from z2ucodes.gray import gray_block_packed
 from z2ucodes.ringr import R_ONE, R_ONE_U, R_U, R_ZERO, RElem, RPoly
 from z2ucodes.ringr import bar_reduce, reduce_mod_xn_minus_1, rpoly_mul_mod
 
@@ -144,3 +150,11 @@ def inner_product(c1: Codeword, c2: Codeword) -> RElem:
     for x, y in zip(c1.b, c2.b):
         total = total + x * y
     return total
+
+
+def min_distance_scan(code) -> int:
+    """Minimum nonzero Lee weight over all 2^rank words of a code of
+    rank >= 1: the Hamming weights of their block-layout Gray images."""
+    # packed() is ascending, so the zero word comes first.
+    imgs = gray_block_packed(code.packed()[1:], code.alpha, code.beta)
+    return int(np.bitwise_count(imgs).min())

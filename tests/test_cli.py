@@ -52,6 +52,18 @@ class TestFactorCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("n", [gf2poly.MAX_EXPONENT + 1, 10**12])
+    def test_n_above_the_exponent_limit_exits_2(self, capsys, monkeypatch, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("x^n - 1 should not be built")
+
+        monkeypatch.setattr(cli, "x_pow_n_minus_1", refuse)
+        monkeypatch.setattr(cli, "factor", refuse)
+        code, out, err = run_cli(capsys, "factor", "--n", str(n))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: n = {n} exceeds the limit {gf2poly.MAX_EXPONENT}\n"
+
 
 class TestSpecCommands:
     def test_construct(self, capsys, spec_file):

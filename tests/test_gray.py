@@ -2,8 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from z2ucodes.gf2poly import ZERO, parse_poly
+from z2ucodes import codewords
+from z2ucodes.gf2poly import ONE, ZERO, parse_poly
 from z2ucodes.ringr import R_ONE, R_ONE_U, R_U, R_ZERO
 from z2ucodes.codewords import (
     CodeSet,
@@ -24,7 +27,7 @@ from z2ucodes.gray import (
     self_dual_transfer,
 )
 
-from referee import Codeword, gray_map, gray_symbol, lee_weight
+from referee import Codeword, gray_map, gray_symbol, lee_weight, min_distance_scan
 
 
 def P(text):
@@ -157,6 +160,35 @@ class TestGrayImage:
             assert all(img.contains_packed(w) for w in words)
 
 
+@st.composite
+def systematic_codes(draw):
+    """A code of 32 to 40 bits and rank 13 to 16: basis vector i is bit
+    i plus drawn bits above the rank."""
+    alpha = draw(st.integers(0, 16))
+    beta = draw(st.integers((33 - alpha) // 2, (40 - alpha) // 2))
+    k = draw(st.integers(13, 16))
+    tail = st.integers(0, (1 << (alpha + 2 * beta - k)) - 1)
+    tails = draw(st.lists(tail, min_size=k, max_size=k))
+    rows = [(1 << i) | (t << k) for i, t in enumerate(tails)]
+    return CodeSet.from_basis(alpha, beta, rows)
+
+
+def direct_sum(c1: CodeSet, c2: CodeSet) -> CodeSet:
+    """C1 + C2 on disjoint coordinates: each block of C2 placed after the
+    same block of C1."""
+    alpha, beta = c1.alpha + c2.alpha, c1.beta + c2.beta
+
+    def place(w, code, da, db):
+        a = w & ((1 << code.alpha) - 1)
+        p = (w >> code.alpha) & ((1 << code.beta) - 1)
+        q = w >> (code.alpha + code.beta)
+        return (a << da) | (p << (alpha + db)) | (q << (alpha + beta + db))
+
+    rows = [place(w, c1, 0, 0) for w in c1.basis]
+    rows += [place(w, c2, c1.alpha, c1.beta) for w in c2.basis]
+    return CodeSet.from_basis(alpha, beta, rows)
+
+
 class TestMinDistance:
     def test_worked_example(self):
         assert min_distance(closure_of_spec(WORKED)) == 2
@@ -173,6 +205,35 @@ class TestMinDistance:
     def test_trivial_rejected(self):
         with pytest.raises(ValueError):
             min_distance(CodeSet.from_basis(1, 1, []))
+
+    @pytest.mark.parametrize("alpha, beta", [(3, 3), (2, 6), (7, 3), (3, 7)])
+    def test_matches_the_scan_on_every_code(self, alpha, beta):
+        seen = set()
+        for spec in iter_valid_specs(alpha, beta):
+            code = closure_of_spec(spec)
+            if code.rank and code.basis not in seen:
+                seen.add(code.basis)
+                assert min_distance(code) == min_distance_scan(code), spec
+
+    def test_full_code_builds_no_word_set(self, monkeypatch):
+        full = closure_of_spec(CodeSpec(7, 7, 1, ONE, ZERO, ONE))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the distance should come from the basis alone")
+
+        monkeypatch.setattr(codewords, "span_array", refuse)
+        monkeypatch.setattr(codewords, "xor_table", refuse)
+        monkeypatch.setattr(CodeSet, "packed", refuse)
+        assert min_distance(full) == 1
+
+    @settings(deadline=None, max_examples=40)
+    @given(systematic_codes(), systematic_codes())
+    def test_direct_sum_past_the_scan(self, c1, c2):
+        # Lee weights add over disjoint coordinates, so the lightest word
+        # of C1 + C2 is the lighter of the two pieces' lightest words.
+        total = direct_sum(c1, c2)
+        assert total.rank > 24 and total.n > 63
+        assert min_distance(total) == min(min_distance_scan(c1), min_distance_scan(c2))
 
 
 class TestDoubleCyclic:
