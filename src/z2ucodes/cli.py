@@ -71,11 +71,12 @@ def _construct(args: argparse.Namespace, spec: CodeSpec, code: CodeSet) -> dict:
     groups: dict[str, int] = {}
     for el in spanning_set(spec):
         groups[el.group] = groups.get(el.group, 0) + 1
+    size = 1 << code.rank
     doc = {
-        "size": len(code),
+        "size": size,
         "log2_size": code.rank,
         "cardinality_formula": cardinality_formula(spec),
-        "formula_matches": cardinality_formula(spec) == len(code),
+        "formula_matches": cardinality_formula(spec) == size,
         "spanning_set_sizes": groups,
     }
     if args.emit_words:

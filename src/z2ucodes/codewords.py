@@ -317,7 +317,7 @@ class CodeSet:
         return hash((self.alpha, self.beta, self.basis))
 
     def __repr__(self):
-        return f"<CodeSet alpha={self.alpha} beta={self.beta} size={len(self)}>"
+        return f"<CodeSet alpha={self.alpha} beta={self.beta} size={1 << self.rank}>"
 
 
 BinaryCode = CodeSet  # a binary code of length n is CodeSet(n, 0, basis)

@@ -340,7 +340,7 @@ class DualReport:
         obs = self.observed_degrees()
         return {
             "spec": self.spec.serialize().strip().splitlines(),
-            "dual_size": len(self.dual),
+            "dual_size": 1 << self.dual.rank,
             "stated_dual_case": self.stated_dual_case,
             "predicted_degrees": {
                 "abar": self.predicted_degrees.abar,

@@ -25,6 +25,8 @@ from .codewords import (
     reduce_against,
     require_valid,
     shift_packed,
+    umul_packed,
+    xor_table,
 )
 
 
@@ -158,29 +160,26 @@ def count_codes_formula(alpha: int, beta: int) -> int:
     return 2 ** cyclotomic_class_count(alpha) * 3 ** cyclotomic_class_count(beta)
 
 
-def _join_irreducibles(
+def _cyclic_submodules(
     alpha: int, beta: int, budget: int = CENSUS_BUDGET
-) -> list[tuple[int, tuple[int, ...]]]:
-    """The join-irreducible submodules, as (word, RREF basis) pairs with
-    the word generating the submodule, in ascending order of rank.
+) -> dict[tuple[int, ...], list[int]]:
+    """Every distinct cyclic submodule, as {RREF basis: [word, generators]}:
+    the least word that generates it and the number of words that do, in
+    ascending order of that least word.
 
-    Closes one nonzero ambient word per shift orbit, under {+, x*, u*},
-    to get the distinct cyclic submodules: the shift is a bijection of
-    finite order, so w is a shift power of shift(w) and both generate
-    the same submodule.  Every join-irreducible is cyclic (a module is
-    the sum of the cyclic submodules of its elements), and adding up the
-    orbit sizes per submodule counts the words that generate it.
-
-    A cyclic submodule C is join-irreducible exactly when |C| minus its
-    number of generators is a power of two.  C = A w is isomorphic to the
-    ring B = A / Ann(w), A = F2[x, u] / (u^2) acting on the ambient
-    module, and the words that generate C are the units of B.  C is
-    join-irreducible when it has a unique maximal submodule, that is
-    when the finite commutative ring B is local.  A local B with residue
-    field of 2^d elements has |B| / 2^d non-units, a power of two.  A
-    product of k >= 2 local rings with residue degrees d_i, D = sum d_i,
-    has |B| (2^D - prod(2^d_i - 1)) / 2^D non-units, whose odd factor
-    2^D - prod(2^d_i - 1) is at least 3.
+    Walks the nonzero ambient words in ascending order and closes each
+    word w not yet marked, under {+, x*, u*}, to C = A w.  Then it marks
+    every word x^i w + v with v in u C, and counts each newly marked word
+    once for C.  These words all generate C: (1 + u p(x))^2 = 1, so
+    1 + u p(x) is a unit, and (1 + u p(x)) x^i w = x^i w + u p(x) x^i w
+    with x^i a unit too (x^alpha = 1, x^beta = 1 + u).  Since u^2 = 0,
+    u C = u F2[x] w, which is the XOR span of the u-multiples of C's
+    basis, so the marks need no second closure.  The cosets x^i w + u C
+    are permuted by the shift (u C is shift-invariant), so they come
+    back to w's own coset, and marking stops at the first coset already
+    marked.  A marked word generates a known submodule, so each cyclic
+    submodule is closed at its least generator first, and every word
+    that generates it is counted exactly once: when it is marked.
     """
     nbits = alpha + 2 * beta
     check_budget(nbits, budget)
@@ -193,15 +192,46 @@ def _join_irreducibles(
     cyclic: dict[tuple[int, ...], list[int]] = {}
     for w in range(1, 1 << nbits):
         if not done[w]:
-            entry = cyclic.setdefault(closure_basis([w], alpha, beta), [w, 0])
-            orbit = w
-            while not done[orbit]:
-                done[orbit] = 1
-                entry[1] += 1
-                orbit = shift_packed(orbit, alpha, beta)
+            basis = closure_basis([w], alpha, beta)
+            entry = cyclic.setdefault(basis, [w, 0])
+            u_basis: list[int] = []
+            for b in basis:
+                basis_insert(u_basis, umul_packed(b, alpha, beta))
+            u_span = xor_table(u_basis).tolist()
+            coset = w
+            while not done[coset]:
+                for v in u_span:
+                    done[coset ^ v] = 1
+                entry[1] += len(u_span)
+                coset = shift_packed(coset, alpha, beta)
+    return cyclic
+
+
+def _join_irreducibles(
+    alpha: int, beta: int, budget: int = CENSUS_BUDGET
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The join-irreducible submodules, as (word, RREF basis) pairs with
+    the word generating the submodule, in ascending order of rank.
+
+    Every join-irreducible is cyclic (a module is the sum of the cyclic
+    submodules of its elements), so it is one of
+    :func:`_cyclic_submodules`, which also counts the words that
+    generate each of them.
+
+    A cyclic submodule C is join-irreducible exactly when |C| minus its
+    number of generators is a power of two.  C = A w is isomorphic to the
+    ring B = A / Ann(w), A = F2[x, u] / (u^2) acting on the ambient
+    module, and the words that generate C are the units of B.  C is
+    join-irreducible when it has a unique maximal submodule, that is
+    when the finite commutative ring B is local.  A local B with residue
+    field of 2^d elements has |B| / 2^d non-units, a power of two.  A
+    product of k >= 2 local rings with residue degrees d_i, D = sum d_i,
+    has |B| (2^D - prod(2^d_i - 1)) / 2^D non-units, whose odd factor
+    2^D - prod(2^d_i - 1) is at least 3.
+    """
     irreducible = [
         (w, basis)
-        for basis, (w, gens) in cyclic.items()
+        for basis, (w, gens) in _cyclic_submodules(alpha, beta, budget).items()
         if ((1 << len(basis)) - gens).bit_count() == 1
     ]
     return sorted(irreducible, key=lambda c: len(c[1]))

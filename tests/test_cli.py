@@ -4,7 +4,15 @@ import json
 import pytest
 
 from z2ucodes import cli, gf2poly
-from z2ucodes.codewords import CENSUS_BUDGET, DEFAULT_BUDGET, closure_of_spec
+from z2ucodes.codewords import (
+    CENSUS_BUDGET,
+    DEFAULT_BUDGET,
+    CodeSet,
+    CodeSpec,
+    closure_basis,
+    closure_of_spec,
+)
+from z2ucodes.gf2poly import ONE, ZERO
 from z2ucodes.cli import main
 from z2ucodes.report import render_json, render_text
 
@@ -76,6 +84,17 @@ class TestSpecCommands:
         code, out, _ = run_cli(capsys, "construct", "--spec", spec_file, "--emit-words")
         assert code == 0
         assert out.count("|") >= 32
+
+    def test_construct_past_the_index_size(self):
+        # The full (21,21) code has 2^63 words, one more than an index can
+        # count, so len(code) would overflow; the size comes from the rank.
+        spec = CodeSpec(21, 21, 1, ONE, ZERO, ONE)
+        code = CodeSet(21, 21, closure_basis(spec.generators(), 21, 21))
+        assert code.rank == 63
+        doc = cli._construct(argparse.Namespace(emit_words=False), spec, code)
+        assert doc["size"] == 1 << 63 and doc["log2_size"] == 63
+        assert doc["formula_matches"] is True
+        assert repr(code) == f"<CodeSet alpha=21 beta=21 size={1 << 63}>"
 
     def test_params(self, capsys, spec_file):
         code, out, _ = run_cli(capsys, "params", "--spec", spec_file)

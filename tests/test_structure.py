@@ -254,17 +254,19 @@ def test_census_matches_adjoining_every_word(alpha, beta):
 
 
 def cyclic_submodules(alpha, beta):
-    """Every distinct cyclic submodule, as {RREF basis: first word that
-    closes to it}, closing one word per shift orbit."""
+    """Every distinct cyclic submodule, as {RREF basis: [first word that
+    closes to it, number of words that generate it]}, closing one word
+    per shift orbit and adding up the orbit sizes per submodule."""
     nbits = alpha + 2 * beta
     done = bytearray(1 << nbits)
     modules = {}
     for w in range(1, 1 << nbits):
         if not done[w]:
-            modules.setdefault(closure_basis([w], alpha, beta), w)
+            entry = modules.setdefault(closure_basis([w], alpha, beta), [w, 0])
             orbit = w
             while not done[orbit]:
                 done[orbit] = 1
+                entry[1] += 1
                 orbit = shift_packed(orbit, alpha, beta)
     return modules
 
@@ -301,7 +303,7 @@ def join_irreducibles_by_containment(alpha, beta):
     C_j exactly when the word of C_i reduces to 0 against the basis of
     C_j."""
     ranked = sorted(
-        ((w, basis) for basis, w in cyclic_submodules(alpha, beta).items()),
+        ((w, basis) for basis, (w, _) in cyclic_submodules(alpha, beta).items()),
         key=lambda c: len(c[1]),
     )
     irreducible = []
@@ -357,20 +359,50 @@ def shift_orbits(alpha, beta):
     return orbits
 
 
-@pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS)
-def test_census_closes_one_word_per_shift_orbit(alpha, beta, monkeypatch):
+@pytest.mark.parametrize(
+    "alpha, beta", ORACLE_PAIRS + [(2, 4), (4, 4), (1, 8), (5, 5), (6, 3)]
+)
+def test_generator_counts_match_the_orbit_walk(alpha, beta):
+    # Marking each closed word's unit coset finds the same submodules, in
+    # the same order, with the same least word and the same number of
+    # generators as adding up shift orbits.
+    found = structure._cyclic_submodules(alpha, beta, 1 << 18)
+    assert list(found.items()) == list(cyclic_submodules(alpha, beta).items())
+
+
+def closures_made(alpha, beta, monkeypatch):
+    """The words the census closes, in order, with their closures."""
     closed = []
 
     def close_and_log(gens, a, b):
         basis = closure_basis(gens, a, b)
-        closed.append(basis)
+        closed.append((gens[0], basis))
         return basis
 
     monkeypatch.setattr(structure, "closure_basis", close_and_log)
     count_codes_census(alpha, beta)
+    return closed
+
+
+@pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS)
+def test_census_closes_one_word_per_shift_orbit(alpha, beta, monkeypatch):
+    # Every cyclic submodule is closed, and no two closed words share a
+    # shift orbit; an orbit whose words generate a submodule already
+    # closed is not closed again, so there may be fewer closures than
+    # orbits.
+    closed = closures_made(alpha, beta, monkeypatch)
     every_word = {closure_basis([w], alpha, beta) for w in range(1, 1 << (alpha + 2 * beta))}
-    assert set(closed) == every_word
-    assert len(closed) == len(shift_orbits(alpha, beta))
+    assert {basis for _, basis in closed} == every_word
+    orbits = shift_orbits(alpha, beta)
+    orbit_of = {w: i for i, orbit in enumerate(orbits) for w in orbit}
+    assert len({orbit_of[w] for w, _ in closed}) == len(closed) <= len(orbits)
+
+
+@pytest.mark.parametrize("alpha, beta, closures", [(3, 3, 59), (1, 5, 41), (5, 3, 71)])
+def test_census_closures_at_the_benchmark_pairs(alpha, beta, closures, monkeypatch):
+    # 171 closures in all, for 111 distinct cyclic submodules and 425
+    # shift orbits.
+    assert len(closures_made(alpha, beta, monkeypatch)) == closures
 
 
 CRT_PAIRS = [
@@ -384,6 +416,11 @@ def test_census_matches_the_crt_hypothesis(alpha, beta):
     # A hypothesis recorded as data, for odd lengths; the stated formula
     # 2^C2(alpha) * 3^C2(beta) counts a shared factor as 6, not 2q + 4.
     assert count_codes_census(alpha, beta) == crt_census(alpha, beta)
+
+
+def test_census_at_7_7_matches_the_crt_hypothesis():
+    # The largest brute-force value recorded: 2^21 ambient words.
+    assert count_codes_census(7, 7, 1 << 21) == crt_census(7, 7) == 3200
 
 
 class TestCbDimensions:
