@@ -261,8 +261,8 @@ class CodeSet:
     def from_packed_words(cls, alpha: int, beta: int, words: Iterable[int]) -> "CodeSet":
         """Build from explicit words, verifying closure under addition.
 
-        Input that is strictly ascending, as the dual scan's output is, is
-        used as it stands; any other order, or repeated words, is sorted
+        Input that is strictly ascending, as ``span_array``'s output is,
+        is used as it stands; any other order, or repeated words, is sorted
         and deduplicated first.
         """
         if not isinstance(words, np.ndarray):

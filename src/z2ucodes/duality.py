@@ -9,8 +9,9 @@ independent set, so that a word's syndrome (one parity per condition)
 is a linear function of it, and splits the ambient space into a table
 of high-half syndromes and a table of low-half syndromes: w lies in the
 dual exactly when the two halves' syndromes cancel.  The two tables are
-joined on equal syndromes, so the scan costs what the half tables and
-the dual cost, not what the ambient space costs.
+joined on equal syndromes and the join is checked block by block, so the
+scan's memory is the half tables plus one block and its time grows with
+the dual's size, not with the ambient space.
 """
 
 from __future__ import annotations
@@ -81,9 +82,30 @@ def _orthogonality_rows(code: CodeSet) -> list[int]:
 
 def _syndrome_table(rows: Sequence[int], shift: int, nbits: int) -> np.ndarray:
     """Syndromes of the words h << shift for h in [0, 2^nbits): bit i of
-    an entry is the parity of that word against rows[i]."""
-    columns = range(shift, shift + nbits)
-    return xor_table([sum(1 << i for i, r in enumerate(rows) if (r >> j) & 1) for j in columns])
+    an entry is the parity of that word against rows[i].
+
+    Column j, the syndrome of the word 1 << (shift + j), collects bit i
+    from each row i that has bit shift + j set; one pass over the rows'
+    set bits builds every column.
+    """
+    columns = [0] * nbits
+    for i, r in enumerate(rows):
+        r = (r >> shift) & ((1 << nbits) - 1)
+        while r:
+            j = r.bit_length() - 1
+            columns[j] |= 1 << i
+            r ^= 1 << j
+    return xor_table(columns)
+
+
+def _runs(s_hi: np.ndarray, s_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The low table's stable sort order, and for each hi the first index
+    and the length of its run of equal syndromes in the sorted table."""
+    order = np.argsort(s_lo, kind="stable")
+    sorted_lo = s_lo[order]
+    first = np.searchsorted(sorted_lo, s_hi, side="left")
+    counts = np.searchsorted(sorted_lo, s_hi, side="right") - first
+    return order, first, counts
 
 
 def _syndrome_join(s_hi: np.ndarray, s_lo: np.ndarray, low: int) -> np.ndarray:
@@ -91,19 +113,28 @@ def _syndrome_join(s_hi: np.ndarray, s_lo: np.ndarray, low: int) -> np.ndarray:
 
     The low table is sorted once (stably, so equal syndromes keep their
     lo order); each hi's partners are then one run of it, found by two
-    binary searches, and the runs are written out hi by hi.
+    binary searches, and the runs are written out hi by hi.  The dual
+    scan takes the two steps apart: it sorts once and writes out the runs
+    one block at a time.
     """
-    order = np.argsort(s_lo, kind="stable")
-    sorted_lo = s_lo[order]
-    first = np.searchsorted(sorted_lo, s_hi, side="left")
-    counts = np.searchsorted(sorted_lo, s_hi, side="right") - first
+    return _write_runs(*_runs(s_hi, s_lo), low)
+
+
+def _write_runs(order: np.ndarray, first: np.ndarray, counts: np.ndarray, low: int) -> np.ndarray:
+    """(hi << low) | order[first[hi] + k] for every hi and k < counts[hi],
+    ascending: the join's words, from the runs that :func:`_runs` found."""
     # Word k of hi's run sits at start[hi] + k; its low half is order[first[hi] + k].
     start = np.cumsum(counts) - counts
     words = np.repeat(first - start, counts)
     words += np.arange(len(words))
     np.take(order, words, out=words)
-    words |= np.repeat(np.arange(len(s_hi)) << low, counts)
+    words |= np.repeat(np.arange(len(first)) << low, counts)
     return words
+
+
+# The dual scan writes out and checks the dual in aligned blocks of
+# 2^_BLOCK_BITS ascending positions, 256 KB of int64 words each.
+_BLOCK_BITS = 15
 
 
 def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
@@ -118,6 +149,15 @@ def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
     computation.  At beta = 0 the u-part condition is the mod-2 dot
     product and the free part is empty, so this is the dual of a binary
     code.
+
+    The join's run lengths give the dual's size and where each high
+    half's words sit in ascending order, so the words at positions 2^i,
+    which span a sorted XOR subgroup, are read without writing out the
+    dual.  The runs are then written out one aligned block of
+    2^_BLOCK_BITS positions at a time, and every block must equal the
+    same positions of the span of that basis; otherwise the words are
+    not closed under addition and ValueError is raised.  Memory is the
+    two half tables plus one block; time grows with the dual's size.
     """
     alpha, beta = code.alpha, code.beta
     nbits = alpha + 2 * beta
@@ -127,7 +167,35 @@ def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
     low = nbits // 2
     s_lo = _syndrome_table(rows, 0, low)
     s_hi = _syndrome_table(rows, low, nbits - low)
-    return CodeSet.from_packed_words(alpha, beta, _syndrome_join(s_hi, s_lo, low))
+    order, first, counts = _runs(s_hi, s_lo)
+    ends = np.cumsum(counts)
+    start = ends - counts
+    size = int(ends[-1])
+    if size & (size - 1):
+        raise ValueError("not closed under addition: size is not a power of two")
+
+    def runs_at(positions: np.ndarray) -> np.ndarray:
+        """The hi whose run holds the word at each ascending position."""
+        return np.searchsorted(ends, positions, side="right")
+
+    positions = 1 << np.arange(size.bit_length() - 1)
+    his = runs_at(positions)
+    basis: list[int] = []
+    for word in (his << low | order[first[his] + positions - start[his]]).tolist():
+        basis_insert(basis, word)
+    ascending = basis[::-1]
+    width = min(len(ascending), _BLOCK_BITS)
+    inner = xor_table(ascending[:width])
+    heads = np.arange(size >> width) << width
+    blocks = zip(heads.tolist(), runs_at(heads).tolist(), runs_at(heads + len(inner) - 1).tolist())
+    for outer, (head, h0, h_last) in zip(xor_table(ascending[width:]), blocks):
+        covering = slice(h0, h_last + 1)
+        words = _write_runs(order, first[covering], counts[covering], low)
+        words += h0 << low
+        skip = head - int(start[h0])
+        if not np.array_equal(words[skip : skip + len(inner)], inner ^ outer):
+            raise ValueError("not closed under addition")
+    return CodeSet(alpha, beta, tuple(basis))
 
 
 def dual_basis_linear(code: CodeSet) -> CodeSet:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from z2ucodes.gf2poly import ZERO, BinPoly, parse_poly, reciprocal, x_pow_n_minus_1
 from z2ucodes.ringr import R_ONE, R_U, R_ZERO, RP_ZERO
-from z2ucodes import duality
+from z2ucodes import codewords, duality
 from z2ucodes.codewords import (
     BudgetExceededError,
     CodeSet,
@@ -218,6 +219,118 @@ def test_join_of_arbitrary_tables_matches_outer_comparison(drawn):
     flat = _join_by_outer_comparison(s_hi, s_lo)
     expected = [(i // len(s_lo)) << low | i % len(s_lo) for i in flat.tolist()]
     assert _syndrome_join(s_hi, s_lo, low).tolist() == expected
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(0, (1 << 16) - 1), max_size=10),
+    st.integers(0, 8),
+    st.integers(0, 8),
+)
+def test_syndrome_table_entries_are_parities_against_the_rows(rows, shift, nbits):
+    table = _syndrome_table(rows, shift, nbits)
+    assert len(table) == 1 << nbits
+    for h, syndrome in enumerate(table.tolist()):
+        assert syndrome == sum(
+            (((h << shift) & r).bit_count() & 1) << i for i, r in enumerate(rows)
+        )
+
+
+# Dual scans written out in blocks of 2^1, 2^2 and 2^3 positions: the
+# (2,3) zero code's dual has runs of 16 words, each spanning several
+# blocks; binary-5's dual has 4 words, fewer than one block of 8; the
+# full code's dual is {0} (rank 0).
+BLOCK_EXAMPLES = [
+    pytest.param(CodeSet.from_basis(2, 3, []), id="zero"),
+    pytest.param(CodeSet.from_basis(2, 3, [1 << i for i in range(8)]), id="full"),
+    pytest.param(closure_of_spec(CodeSpec(3, 3, 1, P("1+x"), ZERO, P("1+x"))), id="rank-7"),
+    pytest.param(CodeSet.from_basis(5, 0, [0b00011, 0b01100, 0b10101]), id="binary-5"),
+    pytest.param(closure_of_spec(WORKED), id="worked"),
+]
+
+
+@pytest.mark.parametrize("block_bits", [1, 2, 3])
+@pytest.mark.parametrize("code", BLOCK_EXAMPLES)
+def test_blocks_match_word_by_word_scan(code, block_bits, monkeypatch):
+    monkeypatch.setattr(duality, "_BLOCK_BITS", block_bits)
+    dual = dual_bruteforce(code)
+    assert dual.packed().tolist() == _dual_by_word_scan(code)
+    assert dual == dual_basis_linear(code)
+
+
+def test_block_examples_reach_the_edges():
+    codes = [p.values[0] for p in BLOCK_EXAMPLES]
+    dual_ranks = sorted(dual_basis_linear(code).rank for code in codes)
+    assert dual_ranks[0] == 0 and 0 < dual_ranks[1] < 3
+    # Every nonempty run is a coset of the low halves with syndrome 0.
+    longest_run = max(int((_half_tables(code)[1] == 0).sum()) for code in codes)
+    assert longest_run > 1 << 3
+
+
+@settings(deadline=None, max_examples=200)
+@given(subgroups(), st.integers(1, 3))
+def test_blocks_match_linear_dual(code, block_bits):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(duality, "_BLOCK_BITS", block_bits)
+        assert dual_bruteforce(code) == dual_basis_linear(code)
+
+
+@pytest.mark.parametrize("alpha,beta", [(7, 7), (8, 8)])
+def test_ambient_scan_holds_no_word_set(alpha, beta, monkeypatch):
+    # The dual of the zero code is the whole ambient space: 2^21 words at
+    # (7,7), 2^24 at (8,8), the default budget's ceiling.
+    zero = CodeSet.from_basis(alpha, beta, [])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan should hold no more than one block of words")
+
+    monkeypatch.setattr(codewords, "span_array", refuse)
+    monkeypatch.setattr(CodeSet, "packed", refuse)
+    tracemalloc.start()
+    try:
+        dual = dual_bruteforce(zero)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dual.basis == tuple(1 << i for i in reversed(range(zero.n)))
+    assert dual == dual_basis_linear(zero)
+    assert peak < 4 << 20
+
+
+def test_scan_refuses_a_corrupt_block(monkeypatch):
+    # The dual of span(e0..e4) is span(e5..e9): one word per high half,
+    # so each call of `_write_runs` writes out exactly one block of 4 words.
+    code = CodeSet.from_basis(10, 0, [1 << i for i in range(5)])
+    write_runs, calls = duality._write_runs, []
+
+    def corrupt_fifth_block(order, first, counts, low):
+        words = write_runs(order, first, counts, low)
+        calls.append(len(words))
+        if len(calls) == 5:
+            words[-1] ^= 1
+        return words
+
+    monkeypatch.setattr(duality, "_BLOCK_BITS", 2)
+    monkeypatch.setattr(duality, "_write_runs", corrupt_fifth_block)
+    with pytest.raises(ValueError, match=r"^not closed under addition$"):
+        dual_bruteforce(code)
+    assert calls == [4] * 5
+
+
+def test_scan_refuses_a_size_that_is_no_power_of_two(monkeypatch):
+    # One low-half syndrome of the zero code changed from 0 to 1: each
+    # high half then has 2^low - 1 partners.
+    table = duality._syndrome_table
+
+    def corrupt_low_table(rows, shift, nbits):
+        syndromes = table(rows, shift, nbits)
+        if shift == 0:
+            syndromes[1] = 1
+        return syndromes
+
+    monkeypatch.setattr(duality, "_syndrome_table", corrupt_low_table)
+    with pytest.raises(ValueError, match="size is not a power of two"):
+        dual_bruteforce(CodeSet.from_basis(2, 3, []))
 
 
 def _recover_by_candidate_loop(dual, cases, close):
