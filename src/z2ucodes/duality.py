@@ -108,21 +108,13 @@ def _runs(s_hi: np.ndarray, s_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return order, first, counts
 
 
-def _syndrome_join(s_hi: np.ndarray, s_lo: np.ndarray, low: int) -> np.ndarray:
-    """(hi << low) | lo for every pair with s_hi[hi] == s_lo[lo], ascending.
-
-    The low table is sorted once (stably, so equal syndromes keep their
-    lo order); each hi's partners are then one run of it, found by two
-    binary searches, and the runs are written out hi by hi.  The dual
-    scan takes the two steps apart: it sorts once and writes out the runs
-    one block at a time.
-    """
-    return _write_runs(*_runs(s_hi, s_lo), low)
-
-
 def _write_runs(order: np.ndarray, first: np.ndarray, counts: np.ndarray, low: int) -> np.ndarray:
     """(hi << low) | order[first[hi] + k] for every hi and k < counts[hi],
-    ascending: the join's words, from the runs that :func:`_runs` found."""
+    ascending: the join's words, from the runs that :func:`_runs` found.
+
+    ``_write_runs(*_runs(s_hi, s_lo), low)`` is the whole equi-join:
+    (hi << low) | lo for every pair with s_hi[hi] == s_lo[lo], ascending.
+    """
     # Word k of hi's run sits at start[hi] + k; its low half is order[first[hi] + k].
     start = np.cumsum(counts) - counts
     words = np.repeat(first - start, counts)

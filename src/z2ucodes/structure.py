@@ -26,7 +26,6 @@ from .codewords import (
     require_valid,
     shift_packed,
     umul_packed,
-    xor_table,
 )
 
 
@@ -174,12 +173,14 @@ def _cyclic_submodules(
     1 + u p(x) is a unit, and (1 + u p(x)) x^i w = x^i w + u p(x) x^i w
     with x^i a unit too (x^alpha = 1, x^beta = 1 + u).  Since u^2 = 0,
     u C = u F2[x] w, which is the XOR span of the u-multiples of C's
-    basis, so the marks need no second closure.  The cosets x^i w + u C
-    are permuted by the shift (u C is shift-invariant), so they come
-    back to w's own coset, and marking stops at the first coset already
-    marked.  A marked word generates a known submodule, so each cyclic
-    submodule is closed at its least generator first, and every word
-    that generates it is counted exactly once: when it is marked.
+    basis: a list of Python ints that doubles with each u-multiple not
+    yet in it, so the marks need no second closure.  The cosets
+    x^i w + u C are permuted by the shift (u C is shift-invariant), so
+    they come back to w's own coset, and marking stops at the first
+    coset already marked.  A marked word generates a known submodule, so
+    each cyclic submodule is closed at its least generator first, and
+    every word that generates it is counted exactly once: when it is
+    marked.  The next word to close is the next unmarked byte.
     """
     nbits = alpha + 2 * beta
     check_budget(nbits, budget)
@@ -188,22 +189,29 @@ def _cyclic_submodules(
             f"word length {nbits} bits is too wide for the census: "
             f"2^{nbits} orbit marks exceed the largest bytearray"
         )
-    done = bytearray(1 << nbits)
+    try:
+        done = bytearray(1 << nbits)
+    except MemoryError:
+        raise BudgetExceededError(
+            f"the census cannot allocate its 2^{nbits} orbit marks ({1 << nbits} bytes)"
+        ) from None
     cyclic: dict[tuple[int, ...], list[int]] = {}
-    for w in range(1, 1 << nbits):
-        if not done[w]:
-            basis = closure_basis([w], alpha, beta)
-            entry = cyclic.setdefault(basis, [w, 0])
-            u_basis: list[int] = []
-            for b in basis:
-                basis_insert(u_basis, umul_packed(b, alpha, beta))
-            u_span = xor_table(u_basis).tolist()
-            coset = w
-            while not done[coset]:
-                for v in u_span:
-                    done[coset ^ v] = 1
-                entry[1] += len(u_span)
-                coset = shift_packed(coset, alpha, beta)
+    w = done.find(0, 1)
+    while w > 0:
+        basis = closure_basis([w], alpha, beta)
+        entry = cyclic.setdefault(basis, [w, 0])
+        u_span = [0]
+        for b in basis:
+            v = umul_packed(b, alpha, beta)
+            if v not in u_span:
+                u_span += [s ^ v for s in u_span]
+        coset = w
+        while not done[coset]:
+            for v in u_span:
+                done[coset ^ v] = 1
+            entry[1] += len(u_span)
+            coset = shift_packed(coset, alpha, beta)
+        w = done.find(0, w + 1)
     return cyclic
 
 
@@ -252,6 +260,17 @@ def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> in
     below J still lies in N, so M + C is strictly larger than M and
     still inside N, and the walk climbs from 0 to N.  No counting
     formula is consulted.
+
+    Each join is made once per set of summands.  M is the sum of the
+    join-irreducibles inside it (every submodule is a sum of cyclic
+    submodules, and each of those a sum of join-irreducibles), so
+    M + J_k is the sum over S = inside(M) | {k}, and a set S already
+    joined gives a module already known.  (The join-irreducibles below
+    J_k are inside M already, since k is a minimal member of out.)  The
+    module reached is kept with its S: the join-irreducibles in S are
+    inside it, so only the others are reduced against it when it is
+    popped.  Different sets S can still give the same module, and the
+    seen set of bases merges them.
     """
     irreducible = _join_irreducibles(alpha, beta, budget)
     below = [
@@ -262,21 +281,32 @@ def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> in
         )
         for _, basis in irreducible
     ]
+    every = (1 << len(irreducible)) - 1
     zero_key: tuple[int, ...] = ()
     seen = {zero_key}
-    worklist = [zero_key]
+    joined: set[int] = set()
+    worklist = [(zero_key, 0)]
     while worklist:
-        basis = worklist.pop()
-        out = sum(1 << k for k, (v, _) in enumerate(irreducible) if reduce_against(v, basis))
+        basis, summands = worklist.pop()
+        out = sum(
+            1 << k
+            for k, (v, _) in enumerate(irreducible)
+            if not summands >> k & 1 and reduce_against(v, basis)
+        )
+        inside = every ^ out
         for k, (_, gens) in enumerate(irreducible):
             if out >> k & 1 and not below[k] & out:
+                joint = inside | 1 << k
+                if joint in joined:
+                    continue
+                joined.add(joint)
                 grown = list(basis)
                 for g in gens:
                     basis_insert(grown, g)
                 key = tuple(grown)
                 if key not in seen:
                     seen.add(key)
-                    worklist.append(key)
+                    worklist.append((key, joint))
     return len(seen)
 
 

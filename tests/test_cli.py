@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from z2ucodes import cli, gf2poly
+from z2ucodes import cli, gf2poly, structure
 from z2ucodes.codewords import (
     CENSUS_BUDGET,
     DEFAULT_BUDGET,
@@ -292,6 +292,22 @@ def test_census_too_wide_for_orbit_marks_exits_2(capsys, beta):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"word length {1 + 2 * beta} bits" in err
+
+
+@pytest.mark.parametrize("beta, budget", [(16, 1 << 33), (30, 1 << 61)])
+def test_census_that_cannot_allocate_its_marks_exits_2(capsys, monkeypatch, beta, budget):
+    # 2^33 or 2^61 marks fit the budget but not the memory; the allocation
+    # is patched to fail as it does under a tight address-space limit.
+    def no_memory(size):
+        raise MemoryError
+
+    monkeypatch.setattr(structure, "bytearray", no_memory, raising=False)
+    argv = ["census", "--alpha", "1", "--beta", str(beta), "--budget", str(budget)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"2^{1 + 2 * beta} orbit marks" in err
 
 
 # The options of each subcommand, in usage order: --budget only where the

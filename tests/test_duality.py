@@ -24,8 +24,9 @@ from z2ucodes.structure import puncture_y
 from z2ucodes.duality import (
     DualDegrees,
     _orthogonality_rows,
-    _syndrome_join,
+    _runs,
     _syndrome_table,
+    _write_runs,
     build_dual_report,
     check_dual_constacyclic,
     dual_basis_linear,
@@ -198,7 +199,7 @@ def subgroups(draw):
 @example(closure_of_spec(CodeSpec(1, 3, 1, P("1"), ZERO, P("1+x"))))  # odd n = 7
 def test_join_matches_outer_comparison(code):
     s_hi, s_lo, low = _half_tables(code)
-    words = _syndrome_join(s_hi, s_lo, low)
+    words = _write_runs(*_runs(s_hi, s_lo), low)
     assert words.tolist() == _join_by_outer_comparison(s_hi, s_lo).tolist()
 
 
@@ -218,7 +219,7 @@ def test_join_of_arbitrary_tables_matches_outer_comparison(drawn):
     s_hi, s_lo = np.array(s_hi, dtype=np.int64), np.array(s_lo, dtype=np.int64)
     flat = _join_by_outer_comparison(s_hi, s_lo)
     expected = [(i // len(s_lo)) << low | i % len(s_lo) for i in flat.tolist()]
-    assert _syndrome_join(s_hi, s_lo, low).tolist() == expected
+    assert _write_runs(*_runs(s_hi, s_lo), low).tolist() == expected
 
 
 @settings(deadline=None)

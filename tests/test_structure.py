@@ -15,7 +15,7 @@ from z2ucodes.codewords import (
     shift_packed,
     umul_packed,
 )
-from z2ucodes import structure
+from z2ucodes import codewords, structure
 from z2ucodes.structure import (
     cb_dimension,
     census_table,
@@ -295,6 +295,60 @@ def census_by_joining_every_cyclic(alpha, beta):
 @pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS + [(2, 4), (4, 2), (4, 4), (6, 2)])
 def test_census_matches_joining_every_cyclic(alpha, beta):
     assert count_codes_census(alpha, beta) == census_by_joining_every_cyclic(alpha, beta)
+
+
+def census_by_joining_minimal_missing(alpha, beta, budget=1 << 18):
+    """Reference census: join every known module with each of its minimal
+    missing join-irreducibles, from the zero module up, computing every
+    join even when another module already made the same one."""
+    irreducible = structure._join_irreducibles(alpha, beta, budget)
+    below = [
+        sum(
+            1 << k
+            for k, (v, smaller) in enumerate(irreducible)
+            if len(smaller) < len(basis) and reduce_against(v, basis) == 0
+        )
+        for _, basis in irreducible
+    ]
+    seen = {()}
+    worklist = [()]
+    while worklist:
+        basis = worklist.pop()
+        out = sum(1 << k for k, (v, _) in enumerate(irreducible) if reduce_against(v, basis))
+        for k, (_, gens) in enumerate(irreducible):
+            if out >> k & 1 and not below[k] & out:
+                grown = list(basis)
+                for g in gens:
+                    basis_insert(grown, g)
+                key = tuple(grown)
+                if key not in seen:
+                    seen.add(key)
+                    worklist.append(key)
+    return len(seen)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta", dict.fromkeys([*ORACLE_PAIRS, (3, 3), (1, 5), (5, 3), *EVEN_LENGTH_CENSUS])
+)
+def test_census_matches_joining_each_minimal_missing(alpha, beta):
+    # One join per set of summands reaches the same modules as joining
+    # every module with every minimal missing join-irreducible.
+    expected = census_by_joining_minimal_missing(alpha, beta)
+    assert count_codes_census(alpha, beta, 1 << 18) == expected
+
+
+def test_census_builds_no_word_array(monkeypatch):
+    # The marks, the u C spans and the joins are Python ints: numpy's
+    # XOR tables and word arrays are never built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census built a word array")
+
+    for module in (codewords, structure):
+        monkeypatch.setattr(module, "xor_table", refuse, raising=False)
+        monkeypatch.setattr(module, "span_array", refuse, raising=False)
+    monkeypatch.setattr(CodeSet, "packed", refuse)
+    counts = [count_codes_census(a, b) for a, b in ((3, 3), (1, 5), (5, 3))]
+    assert counts == [96, 24, 48]
 
 
 def join_irreducibles_by_containment(alpha, beta):
