@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .gf2poly import (
     ONE,
     ZERO,
@@ -39,7 +37,10 @@ from .ringr import RElem, RPoly, RP_U, reduce_mod_xn_minus_1, reduce_rpoly
 
 DEFAULT_BUDGET = 1 << 24
 CENSUS_BUDGET = 1 << 16
-# Word arrays hold packed words as numpy int64, whose sign bit stays clear.
+# The widest code whose words may be listed or whose dual is computed.
+# The commands refuse wider codes with exit status 2: without the limit, a
+# raised budget would let `gray` on a 65-bit code list 2^32 words.  It stays
+# until budgets are charged where words are materialised.
 WORD_BITS = 63
 
 
@@ -82,11 +83,11 @@ def check_word_width(nbits: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# GF(2)-linear maps on packed words (ints and numpy integer arrays alike)
+# GF(2)-linear maps on packed words
 
 
 def shift_packed(w, alpha: int, beta: int):
-    """(1+u)-constacyclic shift on packed words (ints or arrays)."""
+    """(1+u)-constacyclic shift on packed words."""
     amask = (1 << alpha) - 1
     bmask = (1 << beta) - 1
     a = w & amask
@@ -142,16 +143,15 @@ def basis_insert(basis: list[int], v: int) -> bool:
     return True
 
 
-def xor_table(vectors: Sequence[int]) -> np.ndarray:
+def xor_table(vectors: Sequence[int]) -> list[int]:
     """Entry i is the XOR of vectors[j] over the set bits j of i."""
-    table = np.zeros(1 << len(vectors), dtype=np.int64)
-    for j, v in enumerate(vectors):
-        half = 1 << j
-        np.bitwise_xor(table[:half], v, out=table[half : 2 * half])
+    table = [0]
+    for v in vectors:
+        table += [t ^ v for t in table]
     return table
 
 
-def span_array(basis: Sequence[int], nbits: int) -> np.ndarray:
+def span_array(basis: Sequence[int], nbits: int) -> list[int]:
     """All XOR combinations of a fully reduced RREF basis of nbits-bit
     words, ascending.
 
@@ -178,17 +178,17 @@ def span_array(basis: Sequence[int], nbits: int) -> np.ndarray:
     return xor_table(basis[::-1])
 
 
-def basis_from_group_array(arr: np.ndarray) -> list[int]:
-    """Extract a basis from a sorted XOR-subgroup array.
+def basis_from_group_array(words: Sequence[int]) -> list[int]:
+    """Extract a basis from a sorted XOR-subgroup list.
 
     In a numerically sorted subgroup the element at index 2^i is the i-th
     vector of its RREF basis, so the span of these elements equals the
-    array exactly when the array is a subgroup.
+    list exactly when the list is a subgroup.
     """
-    k = len(arr).bit_length() - 1
+    k = len(words).bit_length() - 1
     basis: list[int] = []
     for i in range(k):
-        basis_insert(basis, int(arr[1 << i]))
+        basis_insert(basis, words[1 << i])
     return basis
 
 
@@ -239,7 +239,7 @@ class CodeSet:
     Z2^alpha x R^beta is a CodeSet closed under shift and u-scaling; a
     binary linear code of length n is ``CodeSet(n, 0, basis)``, and
     alpha == 0 holds punctured second-block codes.  The explicit word
-    array is materialized lazily, only for the oracles that need it.
+    list is materialized lazily, only for the oracles that need it.
     """
 
     __slots__ = ("alpha", "beta", "basis", "_packed")
@@ -259,28 +259,16 @@ class CodeSet:
 
     @classmethod
     def from_packed_words(cls, alpha: int, beta: int, words: Iterable[int]) -> "CodeSet":
-        """Build from explicit words, verifying closure under addition.
-
-        Input that is strictly ascending, as ``span_array``'s output is,
-        is used as it stands; any other order, or repeated words, is sorted
-        and deduplicated first.
-        """
-        if not isinstance(words, np.ndarray):
-            words = list(words)
-        arr = np.asarray(words, dtype=np.int64)
-        if not (arr[1:] > arr[:-1]).all():
-            # np.sort plus a mask: np.unique hashes (numpy 2.4), about 80x slower on 2^21 words.
-            arr = np.sort(arr)
-            keep = np.ones(len(arr), dtype=bool)
-            keep[1:] = arr[1:] != arr[:-1]
-            arr = arr[keep]
-        n = len(arr)
-        if n == 0 or arr[0] != 0:
+        """Build from explicit words, in any order and with repeats,
+        verifying closure under addition."""
+        words = sorted(set(map(int, words)))
+        n = len(words)
+        if n == 0 or words[0] != 0:
             raise ValueError("a code set must contain the zero word")
         if n & (n - 1):
             raise ValueError("not closed under addition: size is not a power of two")
-        basis = basis_from_group_array(arr)
-        if not np.array_equal(span_array(basis, alpha + 2 * beta), arr):
+        basis = basis_from_group_array(words)
+        if span_array(basis, alpha + 2 * beta) != words:
             raise ValueError("not closed under addition")
         return cls(alpha, beta, tuple(basis))
 
@@ -296,8 +284,8 @@ class CodeSet:
     def __len__(self) -> int:
         return 1 << len(self.basis)
 
-    def packed(self) -> np.ndarray:
-        """Sorted array of all packed words (cached)."""
+    def packed(self) -> list[int]:
+        """Ascending list of all packed words (cached)."""
         if self._packed is None:
             self._packed = span_array(self.basis, self.n)
         return self._packed

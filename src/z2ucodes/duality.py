@@ -1,17 +1,14 @@
-"""Orthogonality masks of the inner product, brute-force duals,
-dual-degree formulas, separable duals, the eta pairing and the
+"""Orthogonality masks of the inner product, the dual as a GF(2)
+kernel, dual-degree formulas, separable duals, the eta pairing and the
 Gray-route dual generator predictions.
 
-Orthogonality of a scanned word w against a fixed codeword d reduces to
-two GF(2) parity conditions on w (the free part and the u part of the
-inner product).  The brute-force dual folds these conditions into an
-independent set, so that a word's syndrome (one parity per condition)
-is a linear function of it, and splits the ambient space into a table
-of high-half syndromes and a table of low-half syndromes: w lies in the
-dual exactly when the two halves' syndromes cancel.  The two tables are
-joined on equal syndromes and the join is checked block by block, so the
-scan's memory is the half tables plus one block and its time grows with
-the dual's size, not with the ambient space.
+Orthogonality of a word w against a fixed codeword d reduces to two
+GF(2) parity conditions on w (the free part and the u part of the inner
+product).  The dual is the set of words with even parity against every
+condition: the kernel of these functionals, read off a reduced row
+echelon form of them (MacWilliams & Sloane, *The Theory of
+Error-Correcting Codes*, ch. 1).  No ambient word is scanned; the tests
+keep the ambient scan as its referee.
 """
 
 from __future__ import annotations
@@ -19,8 +16,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .gf2poly import (
     ONE,
@@ -80,129 +75,27 @@ def _orthogonality_rows(code: CodeSet) -> list[int]:
     return rows
 
 
-def _syndrome_table(rows: Sequence[int], shift: int, nbits: int) -> np.ndarray:
-    """Syndromes of the words h << shift for h in [0, 2^nbits): bit i of
-    an entry is the parity of that word against rows[i].
-
-    Column j, the syndrome of the word 1 << (shift + j), collects bit i
-    from each row i that has bit shift + j set; one pass over the rows'
-    set bits builds every column.
-    """
-    columns = [0] * nbits
-    for i, r in enumerate(rows):
-        r = (r >> shift) & ((1 << nbits) - 1)
-        while r:
-            j = r.bit_length() - 1
-            columns[j] |= 1 << i
-            r ^= 1 << j
-    return xor_table(columns)
-
-
-def _runs(s_hi: np.ndarray, s_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The low table's stable sort order, and for each hi the first index
-    and the length of its run of equal syndromes in the sorted table."""
-    order = np.argsort(s_lo, kind="stable")
-    sorted_lo = s_lo[order]
-    first = np.searchsorted(sorted_lo, s_hi, side="left")
-    counts = np.searchsorted(sorted_lo, s_hi, side="right") - first
-    return order, first, counts
-
-
-def _write_runs(order: np.ndarray, first: np.ndarray, counts: np.ndarray, low: int) -> np.ndarray:
-    """(hi << low) | order[first[hi] + k] for every hi and k < counts[hi],
-    ascending: the join's words, from the runs that :func:`_runs` found.
-
-    ``_write_runs(*_runs(s_hi, s_lo), low)`` is the whole equi-join:
-    (hi << low) | lo for every pair with s_hi[hi] == s_lo[lo], ascending.
-    """
-    # Word k of hi's run sits at start[hi] + k; its low half is order[first[hi] + k].
-    start = np.cumsum(counts) - counts
-    words = np.repeat(first - start, counts)
-    words += np.arange(len(words))
-    np.take(order, words, out=words)
-    words |= np.repeat(np.arange(len(first)) << low, counts)
-    return words
-
-
-# The dual scan writes out and checks the dual in aligned blocks of
-# 2^_BLOCK_BITS ascending positions, 256 KB of int64 words each.
-_BLOCK_BITS = 15
-
-
 def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
     """All ambient elements orthogonal to every codeword.
 
     Testing against the generating set suffices by bilinearity; each
-    generator contributes two parity conditions, folded into at most
-    n = alpha + 2*beta independent rows, so a syndrome fits in an int64.
-    The syndrome is linear, so the word hi|lo is in the dual exactly when
-    S_hi[hi] == S_lo[lo]: the dual is the equi-join of the two half
-    tables, and every ambient word is decided without a kernel or pivot
-    computation.  At beta = 0 the u-part condition is the mod-2 dot
-    product and the free part is empty, so this is the dual of a binary
-    code.
-
-    The join's run lengths give the dual's size and where each high
-    half's words sit in ascending order, so the words at positions 2^i,
-    which span a sorted XOR subgroup, are read without writing out the
-    dual.  The runs are then written out one aligned block of
-    2^_BLOCK_BITS positions at a time, and every block must equal the
-    same positions of the span of that basis; otherwise the words are
-    not closed under addition and ValueError is raised.  Memory is the
-    two half tables plus one block; time grows with the dual's size.
+    generator contributes two parity conditions, folded into a fully
+    reduced RREF basis of rows.  The dual is their kernel: for each
+    non-pivot bit j, the word 1 << j plus the pivot bits of the rows it
+    has odd parity against.  At beta = 0 the u-part condition is the
+    mod-2 dot product and the free part is empty, so this is the dual of
+    a binary code.  The width and budget checks refuse the codes whose
+    words the other commands refuse to list.
     """
-    alpha, beta = code.alpha, code.beta
-    nbits = alpha + 2 * beta
+    nbits = code.alpha + 2 * code.beta
     check_word_width(nbits)
     check_budget(nbits, budget)
-    rows = _orthogonality_rows(code)
-    low = nbits // 2
-    s_lo = _syndrome_table(rows, 0, low)
-    s_hi = _syndrome_table(rows, low, nbits - low)
-    order, first, counts = _runs(s_hi, s_lo)
-    ends = np.cumsum(counts)
-    start = ends - counts
-    size = int(ends[-1])
-    if size & (size - 1):
-        raise ValueError("not closed under addition: size is not a power of two")
-
-    def runs_at(positions: np.ndarray) -> np.ndarray:
-        """The hi whose run holds the word at each ascending position."""
-        return np.searchsorted(ends, positions, side="right")
-
-    positions = 1 << np.arange(size.bit_length() - 1)
-    his = runs_at(positions)
-    basis: list[int] = []
-    for word in (his << low | order[first[his] + positions - start[his]]).tolist():
-        basis_insert(basis, word)
-    ascending = basis[::-1]
-    width = min(len(ascending), _BLOCK_BITS)
-    inner = xor_table(ascending[:width])
-    heads = np.arange(size >> width) << width
-    blocks = zip(heads.tolist(), runs_at(heads).tolist(), runs_at(heads + len(inner) - 1).tolist())
-    for outer, (head, h0, h_last) in zip(xor_table(ascending[width:]), blocks):
-        covering = slice(h0, h_last + 1)
-        words = _write_runs(order, first[covering], counts[covering], low)
-        words += h0 << low
-        skip = head - int(start[h0])
-        if not np.array_equal(words[skip : skip + len(inner)], inner ^ outer):
-            raise ValueError("not closed under addition")
-    return CodeSet(alpha, beta, tuple(basis))
-
-
-def dual_basis_linear(code: CodeSet) -> CodeSet:
-    """The same dual as :func:`dual_bruteforce`, via exact GF(2) kernel
-    computation on the orthogonality functionals (no ambient scan).
-
-    Used for bulk sweeps; the acceptance suite cross-validates it against
-    the scan oracle.
-    """
     rows = _orthogonality_rows(code)
     pivot_bits = 0
     for r in rows:
         pivot_bits |= 1 << (r.bit_length() - 1)
     kernel = []
-    for j in range(code.n):
+    for j in range(nbits):
         if (pivot_bits >> j) & 1:
             continue
         v = 1 << j
@@ -358,7 +251,7 @@ def recover_spec(
             base = l_base(case, a, g, beta)
             free = a.degree - base.degree
             table = xor_table([first_rem(base.bits << i) for i in range(free)])
-            for mbits in np.flatnonzero(table == y_rems[y]).tolist():
+            for mbits in [m for m, r in enumerate(table) if r == y_rems[y]]:
                 cand = CodeSpec(alpha, beta, case, a, BinPoly(mbits) * base, g, f)
                 if closure_of_spec(cand, budget).basis == dual.basis:
                     return cand

@@ -295,12 +295,6 @@ class Factorization:
 
     factors: tuple[tuple[BinPoly, int], ...]
 
-    def expand(self) -> BinPoly:
-        result = ONE
-        for f, m in self.factors:
-            result = result * f**m
-        return result
-
     def multiplicity(self, f: BinPoly) -> int:
         for g, m in self.factors:
             if g == f:
@@ -352,19 +346,6 @@ def factor(p: BinPoly) -> Factorization:
     if deg is MINUS_INF or deg < 1:
         raise ValueError("factor requires degree >= 1")
     return Factorization(tuple((BinPoly(b), m) for b, m in _factor_bits(p.bits)))
-
-
-def is_irreducible(p: BinPoly) -> bool:
-    """Exhaustive trial division by every polynomial up to half degree."""
-    deg = p.degree
-    if deg is MINUS_INF or deg < 1:
-        return False
-    for cand in range(2, 1 << (deg // 2 + 1)):
-        if cand.bit_length() - 1 < 1:
-            continue
-        if BinPoly(cand).divides(p):
-            return False
-    return True
 
 
 def cyclotomic_class_count(t: int) -> int:

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .gf2poly import bit_reverse
 from .codewords import DEFAULT_BUDGET, CodeSet, CodeSpec, require_valid
 from .duality import dual_bruteforce
@@ -54,12 +52,8 @@ def _gray_packed(w, alpha: int, beta: int, layout: str):
     raise ValueError(f"unknown layout {layout!r}")
 
 
-def _popcount(v):
-    return v.bit_count() if isinstance(v, int) else np.bitwise_count(v)
-
-
-def lee_weight_packed(w, alpha: int, beta: int):
-    """Lee weight of a packed word, or elementwise of an int64 array.
+def lee_weight_packed(w: int, alpha: int, beta: int) -> int:
+    """Lee weight of a packed word.
 
     Read from the symbol bits, not through the Gray map: one per set
     binary bit, and for the symbol p + u*q one for p | q plus one more
@@ -69,7 +63,7 @@ def lee_weight_packed(w, alpha: int, beta: int):
     a = w & ((1 << alpha) - 1)
     p = (w >> alpha) & bmask
     q = (w >> (alpha + beta)) & bmask
-    return _popcount(a) + _popcount(p | q) + _popcount(q & ~p)
+    return a.bit_count() + (p | q).bit_count() + (q & ~p).bit_count()
 
 
 def gray_image(code: CodeSet, layout: str = "interleaved") -> CodeSet:
@@ -222,7 +216,7 @@ def format_binary_code(bcode: CodeSet, layout: str, d: "int | None" = None) -> s
         d = min_distance(bcode) if bcode.rank > 0 else 0
     n = bcode.n
     width = (n + 3) // 4
-    values = sorted(bit_reverse(int(w), n) for w in bcode.packed())
+    values = sorted(bit_reverse(w, n) for w in bcode.packed())
     lines = [f"n={n} k={bcode.rank} d={d} layout={layout}"]
     lines.extend(f"{v:0{width}x}" for v in values)
     return "\n".join(lines) + "\n"

@@ -180,13 +180,6 @@ def _reduce_rpoly_cyclic(d: RPoly, beta: int) -> RPoly:
     return RPoly(reduce_mod_xn_minus_1(d.p, beta), reduce_mod_xn_minus_1(d.q, beta))
 
 
-def rpoly_mul_mod_cyclic(a: RPoly, b: RPoly, beta: int) -> RPoly:
-    """Product in R[x]/(x^beta - 1); the domain ring of the mu map."""
-    if beta < 1:
-        raise ValueError("beta must be >= 1")
-    return _reduce_rpoly_cyclic(a * b, beta)
-
-
 def mu_map(a: BinPoly, b: RPoly, alpha: int, beta: int) -> tuple[BinPoly, RPoly]:
     """The substitution (a(x), b(x)) -> (a(x), b((1+u)x)) for odd beta.
 

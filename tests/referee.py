@@ -8,16 +8,25 @@ inner product sums products in R.  Only ``from_packed`` and ``to_packed``
 know the packed layout, so a test that compares a packed map with its
 counterpart here compares two independent implementations.
 
-``min_distance_scan`` is the exhaustive scan over every word of a code,
-the referee of the basis-only minimum distance.
+The package computes on bases; the oracles below materialise word sets
+instead, as numpy arrays:
+- ``min_distance_scan`` weighs every word of a code, the referee of the
+  basis-only minimum distance;
+- ``dual_scan`` decides every ambient word, the referee of the dual
+  computed as a GF(2) kernel.
+
+``is_irreducible``, ``expand`` and ``rpoly_mul_mod_cyclic`` are
+polynomial oracles written from their definitions.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from z2ucodes.gf2poly import BinPoly
+from z2ucodes.codewords import CodeSet, basis_insert, check_word_width
+from z2ucodes.duality import _orthogonality_rows
+from z2ucodes.gf2poly import MINUS_INF, ONE, BinPoly, Factorization
 from z2ucodes.gray import gray_block_packed
 from z2ucodes.ringr import R_ONE, R_ONE_U, R_U, R_ZERO, RElem, RPoly
 from z2ucodes.ringr import bar_reduce, reduce_mod_xn_minus_1, rpoly_mul_mod
@@ -152,9 +161,168 @@ def inner_product(c1: Codeword, c2: Codeword) -> RElem:
     return total
 
 
+def word_array(code) -> np.ndarray:
+    """The words of a code as an ascending int64 array."""
+    return np.array(code.packed(), dtype=np.int64)
+
+
 def min_distance_scan(code) -> int:
     """Minimum nonzero Lee weight over all 2^rank words of a code of
     rank >= 1: the Hamming weights of their block-layout Gray images."""
     # packed() is ascending, so the zero word comes first.
-    imgs = gray_block_packed(code.packed()[1:], code.alpha, code.beta)
+    imgs = gray_block_packed(word_array(code)[1:], code.alpha, code.beta)
     return int(np.bitwise_count(imgs).min())
+
+
+# ---------------------------------------------------------------------------
+# the ambient dual scan
+
+
+def _xor_table(vectors: Sequence[int]) -> np.ndarray:
+    """Entry i is the XOR of vectors[j] over the set bits j of i, as an
+    int64 array, so that syndromes and blocks compare elementwise."""
+    table = np.zeros(1 << len(vectors), dtype=np.int64)
+    for j, v in enumerate(vectors):
+        half = 1 << j
+        np.bitwise_xor(table[:half], v, out=table[half : 2 * half])
+    return table
+
+
+def _syndrome_table(rows: Sequence[int], shift: int, nbits: int) -> np.ndarray:
+    """Syndromes of the words h << shift for h in [0, 2^nbits): bit i of
+    an entry is the parity of that word against rows[i].
+
+    Column j, the syndrome of the word 1 << (shift + j), collects bit i
+    from each row i that has bit shift + j set; one pass over the rows'
+    set bits builds every column.
+    """
+    columns = [0] * nbits
+    for i, r in enumerate(rows):
+        r = (r >> shift) & ((1 << nbits) - 1)
+        while r:
+            j = r.bit_length() - 1
+            columns[j] |= 1 << i
+            r ^= 1 << j
+    return _xor_table(columns)
+
+
+def _runs(s_hi: np.ndarray, s_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The low table's stable sort order, and for each hi the first index
+    and the length of its run of equal syndromes in the sorted table."""
+    order = np.argsort(s_lo, kind="stable")
+    sorted_lo = s_lo[order]
+    first = np.searchsorted(sorted_lo, s_hi, side="left")
+    counts = np.searchsorted(sorted_lo, s_hi, side="right") - first
+    return order, first, counts
+
+
+def _write_runs(order: np.ndarray, first: np.ndarray, counts: np.ndarray, low: int) -> np.ndarray:
+    """(hi << low) | order[first[hi] + k] for every hi and k < counts[hi],
+    ascending: the join's words, from the runs that :func:`_runs` found.
+
+    ``_write_runs(*_runs(s_hi, s_lo), low)`` is the whole equi-join:
+    (hi << low) | lo for every pair with s_hi[hi] == s_lo[lo], ascending.
+    """
+    # Word k of hi's run sits at start[hi] + k; its low half is order[first[hi] + k].
+    start = np.cumsum(counts) - counts
+    words = np.repeat(first - start, counts)
+    words += np.arange(len(words))
+    np.take(order, words, out=words)
+    words |= np.repeat(np.arange(len(first)) << low, counts)
+    return words
+
+
+# The dual scan writes out and checks the dual in aligned blocks of
+# 2^_BLOCK_BITS ascending positions, 256 KB of int64 words each.
+_BLOCK_BITS = 15
+
+
+def dual_scan(code: CodeSet) -> CodeSet:
+    """All ambient words orthogonal to every codeword, by deciding every
+    ambient word.
+
+    Each generator contributes two parity conditions, folded into at
+    most n = alpha + 2*beta independent rows, so a syndrome fits in an
+    int64.  The syndrome is linear, so the word hi|lo is in the dual
+    exactly when S_hi[hi] == S_lo[lo]: the dual is the equi-join of the
+    two half tables.
+
+    The join's run lengths give the dual's size and where each high
+    half's words sit in ascending order, so the words at positions 2^i,
+    which span a sorted XOR subgroup, are read without writing out the
+    dual.  The runs are then written out one aligned block of
+    2^_BLOCK_BITS positions at a time, and every block must equal the
+    same positions of the span of that basis; otherwise the words are
+    not closed under addition and ValueError is raised.  Memory is the
+    two half tables plus one block; time grows with the dual's size.
+    """
+    alpha, beta = code.alpha, code.beta
+    nbits = alpha + 2 * beta
+    check_word_width(nbits)
+    rows = _orthogonality_rows(code)
+    low = nbits // 2
+    s_lo = _syndrome_table(rows, 0, low)
+    s_hi = _syndrome_table(rows, low, nbits - low)
+    order, first, counts = _runs(s_hi, s_lo)
+    ends = np.cumsum(counts)
+    start = ends - counts
+    size = int(ends[-1])
+    if size & (size - 1):
+        raise ValueError("not closed under addition: size is not a power of two")
+
+    def runs_at(positions: np.ndarray) -> np.ndarray:
+        """The hi whose run holds the word at each ascending position."""
+        return np.searchsorted(ends, positions, side="right")
+
+    positions = 1 << np.arange(size.bit_length() - 1)
+    his = runs_at(positions)
+    basis: list[int] = []
+    for word in (his << low | order[first[his] + positions - start[his]]).tolist():
+        basis_insert(basis, word)
+    ascending = basis[::-1]
+    width = min(len(ascending), _BLOCK_BITS)
+    inner = _xor_table(ascending[:width])
+    heads = np.arange(size >> width) << width
+    blocks = zip(heads.tolist(), runs_at(heads).tolist(), runs_at(heads + len(inner) - 1).tolist())
+    for outer, (head, h0, h_last) in zip(_xor_table(ascending[width:]), blocks):
+        covering = slice(h0, h_last + 1)
+        words = _write_runs(order, first[covering], counts[covering], low)
+        words += h0 << low
+        skip = head - int(start[h0])
+        if not np.array_equal(words[skip : skip + len(inner)], inner ^ outer):
+            raise ValueError("not closed under addition")
+    return CodeSet(alpha, beta, tuple(basis))
+
+
+# ---------------------------------------------------------------------------
+# polynomial oracles
+
+
+def is_irreducible(p: BinPoly) -> bool:
+    """Exhaustive trial division by every polynomial up to half degree."""
+    deg = p.degree
+    if deg is MINUS_INF or deg < 1:
+        return False
+    for cand in range(2, 1 << (deg // 2 + 1)):
+        if cand.bit_length() - 1 < 1:
+            continue
+        if BinPoly(cand).divides(p):
+            return False
+    return True
+
+
+def expand(factorization: Factorization) -> BinPoly:
+    """The product of the factors, with multiplicity."""
+    result = ONE
+    for f, m in factorization:
+        result = result * f**m
+    return result
+
+
+def rpoly_mul_mod_cyclic(a: RPoly, b: RPoly, beta: int) -> RPoly:
+    """Product in R[x]/(x^beta - 1), the domain ring of the mu map: the
+    product's two components, each folded modulo x^beta - 1."""
+    if beta < 1:
+        raise ValueError("beta must be >= 1")
+    d = a * b
+    return RPoly(reduce_mod_xn_minus_1(d.p, beta), reduce_mod_xn_minus_1(d.q, beta))

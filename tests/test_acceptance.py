@@ -27,20 +27,20 @@ from z2ucodes.codewords import (
     iter_valid_specs,
 )
 from z2ucodes.structure import census_table, type_from_enumeration, type_from_formulas
-from z2ucodes.duality import dual_basis_linear, dual_bruteforce, separable_dual
+from z2ucodes.duality import dual_bruteforce, separable_dual
 from z2ucodes.gray import gray_image, is_double_cyclic
 from z2ucodes.report import verify_report, render_json, render_text
 from z2ucodes.showcase import SHOWCASE_CODES, build_report, measure
 
-from referee import Codeword, gray_map, lee_weight
+from referee import Codeword, dual_scan, gray_map, lee_weight
 
 SWEEP_ALPHAS = (1, 2, 3, 7)
 SWEEP_BETAS = (1, 3, 7)
 SWEEP_PAIRS = tuple((a, b) for a in SWEEP_ALPHAS for b in SWEEP_BETAS)
 
-# Ambient scan is the dual oracle wherever it is cheap; the exact
-# linear-algebra dual handles the 2^21-word pair and is cross-checked
-# against the scan on a deterministic sample there.
+# The ambient scan is the dual oracle wherever it is cheap; the GF(2)
+# kernel handles the 2^21-word pair and is cross-checked against the scan
+# on a deterministic sample there.
 SCAN_AMBIENT_LIMIT = 1 << 17
 
 
@@ -81,8 +81,8 @@ def sweep():
 def _dual_basis(code: CodeSet) -> CodeSet:
     ambient = 1 << (code.alpha + 2 * code.beta)
     if ambient <= SCAN_AMBIENT_LIMIT:
-        return dual_bruteforce(code)
-    return dual_basis_linear(code)
+        return dual_scan(code)
+    return dual_bruteforce(code)
 
 
 @pytest.fixture(scope="session")
@@ -174,13 +174,13 @@ def test_c03_duality_size_identity(sweep, sweep_duals):
                 # explicit word-set comparison at desk scale
                 assert np.array_equal(ddual.packed(), code.packed())
             total += 1
-    # the linear-algebra dual must agree with the ambient scan on a
+    # the GF(2) kernel must agree with the ambient scan on a
     # deterministic sample of the big pair
     pair = (7, 7)
     keys = sorted(sweep.codes[pair].keys())[::40]
     for basis in keys:
         code = CodeSet(7, 7, basis)
-        assert dual_bruteforce(code).basis == sweep_duals[pair][basis]
+        assert dual_scan(code).basis == sweep_duals[pair][basis]
     acceptance_log.record(
         3,
         "duality size identity and double dual",
@@ -212,11 +212,11 @@ def test_c05_image_of_dual_is_dual_of_image(sweep, sweep_duals):
             code = CodeSet(alpha, beta, basis)
             dual = CodeSet(alpha, beta, dual_basis)
             img_of_dual = gray_image(dual, "block")
-            dual_of_img = dual_bruteforce(gray_image(code, "block"))
+            dual_of_img = dual_scan(gray_image(code, "block"))
             assert img_of_dual == dual_of_img, (pair, basis)
             if alpha + 2 * beta <= 9:
                 inter = gray_image(dual, "interleaved")
-                assert inter == dual_bruteforce(gray_image(code, "interleaved"))
+                assert inter == dual_scan(gray_image(code, "interleaved"))
             total += 1
     acceptance_log.record(
         5,
@@ -259,14 +259,14 @@ def test_c06_separable_duals():
             for spec in iter_valid_specs(alpha, beta, cases=(1, 2)):
                 if not spec.is_separable():
                     continue
-                dual = dual_bruteforce(closure_of_spec(spec))
+                dual = dual_scan(closure_of_spec(spec))
                 stated = closure_of_spec(separable_dual(spec))
                 assert stated == dual, spec
                 assert np.array_equal(stated.packed(), dual.packed())
                 total += 1
         for beta in (2, 6):
             for spec in _factor_power_specs(alpha, beta):
-                dual = dual_bruteforce(closure_of_spec(spec))
+                dual = dual_scan(closure_of_spec(spec))
                 stated = closure_of_spec(separable_dual(spec))
                 assert stated == dual, spec
                 total += 1
@@ -418,13 +418,13 @@ def test_c11_self_dual_transfer():
             seen.add(code.basis)
             if 2 * code.rank != nbits:
                 continue
-            dual = dual_bruteforce(code)
+            dual = dual_scan(code)
             if dual != code:
                 continue
             found += 1
             for layout in ("interleaved", "block"):
                 img = gray_image(code, layout)
-                assert img == dual_bruteforce(img), (spec, layout)
+                assert img == dual_scan(img), (spec, layout)
     acceptance_log.record(
         11,
         "self-dual codes transfer to binary self-dual images",

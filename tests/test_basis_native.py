@@ -2,8 +2,8 @@
 
 Every reference below is computed in the test from a word array with
 numpy, independently of the basis arithmetic the library uses: the
-materialized ``packed()`` array of fixed codes, or a Python-set span of
-drawn vectors.
+materialized ``packed()`` words of fixed codes as an array, or a
+Python-set span of drawn vectors.
 """
 
 import random
@@ -31,6 +31,8 @@ from z2ucodes.gray import (
     is_double_cyclic,
 )
 from z2ucodes.structure import puncture_x, puncture_y, subcode_cb, type_from_enumeration
+
+from referee import word_array
 
 
 def _sweep_codes():
@@ -118,13 +120,13 @@ def test_gray_image_matches_word_images(layout):
     for code in ALL:
         img = gray_image(code, layout)
         assert (img.alpha, img.beta) == (code.n, 0)
-        words = _gray_words(code.packed(), code.alpha, code.beta, layout)
+        words = _gray_words(word_array(code), code.alpha, code.beta, layout)
         assert np.array_equal(img.packed(), words), (code, code.basis)
 
 
 def test_punctures_match_word_projections():
     for code in ALL:
-        arr = code.packed()
+        arr = word_array(code)
         if code.alpha:
             cx = puncture_x(code)
             assert (cx.alpha, cx.beta) == (code.alpha, 0)
@@ -138,7 +140,7 @@ def test_subcode_cb_matches_word_filter():
     for code in ALL:
         cb = subcode_cb(code)
         assert (cb.alpha, cb.beta) == (code.alpha, code.beta)
-        words = _cb_words(code.packed(), code.alpha, code.beta)
+        words = _cb_words(word_array(code), code.alpha, code.beta)
         assert np.array_equal(cb.packed(), words), code.basis
 
 
@@ -146,13 +148,13 @@ def test_type_from_enumeration_matches_word_counts():
     for code in ALL:
         t = type_from_enumeration(code)
         assert (t.alpha, t.beta) == (code.alpha, code.beta)
-        counted = _type_from_words(code.packed(), code.alpha, code.beta)
+        counted = _type_from_words(word_array(code), code.alpha, code.beta)
         assert (t.k0, t.k1, t.k2, t.k0p, t.k0pp, t.k2p, t.k2pp) == counted, code.basis
 
 
 def test_is_constacyclic_matches_word_shift():
     for code in ALL:
-        expected = _constacyclic_by_words(code.packed(), code.alpha, code.beta)
+        expected = _constacyclic_by_words(word_array(code), code.alpha, code.beta)
         assert is_constacyclic(code) == expected, code.basis
 
 
@@ -190,7 +192,7 @@ def test_is_double_cyclic_matches_word_shift():
     for code in ALL:
         for layout in LAYOUTS:
             img = gray_image(code, layout)
-            arr = img.packed()
+            arr = word_array(img)
             expected = _closed_under(arr, _double_shift_words(arr, code.alpha, 2 * code.beta))
             assert is_double_cyclic(img, code.alpha, 2 * code.beta) == expected, code.basis
             verdicts.add(expected)
@@ -198,7 +200,7 @@ def test_is_double_cyclic_matches_word_shift():
 
 
 def _double_cyclic_both_ways(bcode, alpha, two_beta):
-    arr = bcode.packed()
+    arr = word_array(bcode)
     by_words = _closed_under(arr, _double_shift_words(arr, alpha, two_beta))
     return is_double_cyclic(bcode, alpha, two_beta), by_words
 

@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -272,7 +276,7 @@ WIDE_SPEC = "alpha = 1\nbeta = 32\ncase = 1\na = 1+x\nl = 0\ng = 1+x^32\n"
 
 @pytest.mark.parametrize("command", ["gray", "dual"])
 def test_words_wider_than_63_bits_exit_2(capsys, tmp_path, command):
-    # 1 + 2*32 = 65 bits do not fit a packed int64 word, whatever the budget.
+    # 1 + 2*32 = 65 bits exceed the 63-bit word limit, whatever the budget.
     path = tmp_path / "wide.spec"
     path.write_text(WIDE_SPEC)
     code, out, err = run_cli(capsys, command, "--spec", str(path), "--budget", str(10**30))
@@ -435,6 +439,26 @@ class TestDeterminismAndParity:
         doc = json.loads(json_out)
         assert render_json(doc) == json_out
         assert render_text(doc) == render_text(json.loads(render_json(doc)))
+
+
+def test_verify_runs_without_numpy(spec_file):
+    # The package computes on Python ints; only the tests' referees use numpy.
+    script = (
+        "import sys\n"
+        "from z2ucodes.cli import main\n"
+        f"status = main(['verify', '--spec', {spec_file!r}, '--format', 'json'])\n"
+        "print(status, 'numpy' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_one_parser_serves_every_call(capsys, spec_file):

@@ -17,8 +17,9 @@ from z2ucodes.ringr import (
     mu_map,
     reduce_mod_xn_minus_1,
     rpoly_mul_mod,
-    rpoly_mul_mod_cyclic,
 )
+
+from referee import rpoly_mul_mod_cyclic
 
 
 def RP(p, q="0"):

@@ -292,7 +292,7 @@ def census_by_joining_every_cyclic(alpha, beta):
     return len(seen)
 
 
-@pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS + [(2, 4), (4, 2), (4, 4), (6, 2)])
+@pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS + [(2, 4), (4, 4), (6, 2)])
 def test_census_matches_joining_every_cyclic(alpha, beta):
     assert count_codes_census(alpha, beta) == census_by_joining_every_cyclic(alpha, beta)
 
@@ -372,7 +372,7 @@ def join_irreducibles_by_containment(alpha, beta):
     return irreducible
 
 
-@pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS + [(2, 4), (4, 2), (4, 4), (5, 5)])
+@pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS + [(2, 4), (4, 4), (5, 5)])
 def test_join_irreducibles_match_the_containment_filter(alpha, beta):
     found = structure._join_irreducibles(alpha, beta)
     assert found == join_irreducibles_by_containment(alpha, beta)
