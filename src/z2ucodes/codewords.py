@@ -33,7 +33,7 @@ from .gf2poly import (
     x_pow_n_minus_1,
     xn_minus_1_mod,
 )
-from .ringr import RElem, RPoly, RP_U, reduce_mod_xn_minus_1, reduce_rpoly
+from .ringr import RPoly, RP_U, reduce_mod_xn_minus_1, reduce_rpoly
 
 DEFAULT_BUDGET = 1 << 24
 CENSUS_BUDGET = 1 << 16
@@ -141,6 +141,25 @@ def basis_insert(basis: list[int], v: int) -> bool:
     basis.append(v)
     basis.sort(reverse=True)
     return True
+
+
+def null_space(rows: Sequence[int], nbits: int) -> list[int]:
+    """A basis of the nbits-bit words with even parity against every row
+    of a fully reduced RREF basis: for each bit j that is no row's
+    pivot, the word 1 << j plus the pivots of the rows with bit j set."""
+    pivot_bits = 0
+    for r in rows:
+        pivot_bits |= 1 << (r.bit_length() - 1)
+    kernel = []
+    for j in range(nbits):
+        if (pivot_bits >> j) & 1:
+            continue
+        v = 1 << j
+        for r in rows:
+            if (r & v).bit_count() & 1:
+                v |= 1 << (r.bit_length() - 1)
+        kernel.append(v)
+    return kernel
 
 
 def xor_table(vectors: Sequence[int]) -> list[int]:
@@ -311,17 +330,36 @@ class CodeSet:
 BinaryCode = CodeSet  # a binary code of length n is CodeSet(n, 0, basis)
 
 
+# The text of a symbol, keyed by its (1-component, u-component) digits.
+_SYMBOL_TEXTS = {("0", "0"): "0", ("1", "0"): "1", ("0", "1"): "u", ("1", "1"): "1+u"}
+
+
 def word_texts(words: Iterable[int], alpha: int, beta: int) -> list[str]:
     """Packed words as text such as ``01|0,1+u,u``: the binary bits from
     bit 0, then the R symbols.  The texts are sorted by the binary bits
-    lexicographically, then by the symbols, ordered 0 < 1 < u < 1+u."""
-    rows = []
-    for w in map(int, words):
-        bits = [(w >> i) & 1 for i in range(alpha)]
-        symbols = [RElem(w >> (alpha + j), w >> (alpha + beta + j)) for j in range(beta)]
-        text = "".join(map(str, bits)) + "|" + ",".join(map(str, symbols))
-        rows.append((bits, [e.order_index for e in symbols], text))
-    return [text for _, _, text in sorted(rows)]
+    lexicographically, then by the symbols, ordered 0 < 1 < u < 1+u.
+
+    A word's digits are read from bit 0 off one binary text of the word.
+    Its sort key is one int whose base-4 digits, most significant first,
+    are the binary bits and then the symbols' order indices p + 2q; the
+    leading 1s only add the same constant to every key.
+    """
+    split = alpha + beta
+    top = 1 << (split + beta)
+
+    def digits(w: int) -> str:
+        return format(w | top, "b")[:0:-1]
+
+    def key(w: int) -> int:
+        d = digits(w)
+        return int("1" + d[:split], 4) + 2 * int("1" + d[split:], 4)
+
+    texts = []
+    for w in sorted(map(int, words), key=key):
+        d = digits(w)
+        symbols = map(_SYMBOL_TEXTS.__getitem__, zip(d[alpha:split], d[split:]))
+        texts.append(d[:alpha] + "|" + ",".join(symbols))
+    return texts
 
 
 # ---------------------------------------------------------------------------

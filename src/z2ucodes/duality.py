@@ -41,6 +41,7 @@ from .codewords import (
     is_constacyclic,
     iter_spec_families,
     l_base,
+    null_space,
     reduce_against,
     require_valid,
     xor_table,
@@ -80,29 +81,16 @@ def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
 
     Testing against the generating set suffices by bilinearity; each
     generator contributes two parity conditions, folded into a fully
-    reduced RREF basis of rows.  The dual is their kernel: for each
-    non-pivot bit j, the word 1 << j plus the pivot bits of the rows it
-    has odd parity against.  At beta = 0 the u-part condition is the
-    mod-2 dot product and the free part is empty, so this is the dual of
-    a binary code.  The width and budget checks refuse the codes whose
+    reduced RREF basis of rows.  The dual is their kernel
+    (:func:`~z2ucodes.codewords.null_space`).  At beta = 0 the u-part
+    condition is the mod-2 dot product and the free part is empty, so
+    this is the dual of a binary code.  The width and budget checks refuse the codes whose
     words the other commands refuse to list.
     """
     nbits = code.alpha + 2 * code.beta
     check_word_width(nbits)
     check_budget(nbits, budget)
-    rows = _orthogonality_rows(code)
-    pivot_bits = 0
-    for r in rows:
-        pivot_bits |= 1 << (r.bit_length() - 1)
-    kernel = []
-    for j in range(nbits):
-        if (pivot_bits >> j) & 1:
-            continue
-        v = 1 << j
-        for r in rows:
-            if (r & v).bit_count() & 1:
-                v |= 1 << (r.bit_length() - 1)
-        kernel.append(v)
+    kernel = null_space(_orthogonality_rows(code), nbits)
     return CodeSet.from_basis(code.alpha, code.beta, kernel)
 
 

@@ -10,10 +10,11 @@ exposes the other for comparison.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
-from .gf2poly import BinPoly, cyclotomic_class_count, poly_gcd, x_pow_n_minus_1
+from .gf2poly import BinPoly, cyclotomic_class_count, factor, poly_gcd, x_pow_n_minus_1
 from .codewords import (
     CENSUS_BUDGET,
     BudgetExceededError,
@@ -22,6 +23,7 @@ from .codewords import (
     basis_insert,
     check_budget,
     closure_basis,
+    null_space,
     reduce_against,
     require_valid,
     shift_packed,
@@ -159,67 +161,139 @@ def count_codes_formula(alpha: int, beta: int) -> int:
     return 2 ** cyclotomic_class_count(alpha) * 3 ** cyclotomic_class_count(beta)
 
 
-def _cyclic_submodules(
-    alpha: int, beta: int, budget: int = CENSUS_BUDGET
-) -> dict[tuple[int, ...], list[int]]:
-    """Every distinct cyclic submodule, as {RREF basis: [word, generators]}:
-    the least word that generates it and the number of words that do, in
-    ascending order of that least word.
+def _primary_components(alpha: int, beta: int) -> list[tuple[int, ...]]:
+    """The f-primary components V_f = ker f(S)^e of the ambient, as fully
+    reduced RREF bases, in ascending order of f.
 
-    Walks the nonzero ambient words in ascending order and closes each
-    word w not yet marked, under {+, x*, u*}, to C = A w.  Then it marks
-    every word x^i w + v with v in u C, and counts each newly marked word
-    once for C.  These words all generate C: (1 + u p(x))^2 = 1, so
-    1 + u p(x) is a unit, and (1 + u p(x)) x^i w = x^i w + u p(x) x^i w
-    with x^i a unit too (x^alpha = 1, x^beta = 1 + u).  Since u^2 = 0,
-    u C = u F2[x] w, which is the XOR span of the u-multiples of C's
-    basis: a list of Python ints that doubles with each u-multiple not
-    yet in it, so the marks need no second closure.  The cosets
-    x^i w + u C are permuted by the shift (u C is shift-invariant), so
-    they come back to w's own coset, and marking stops at the first
-    coset already marked.  A marked word generates a known submodule, so
-    each cyclic submodule is closed at its least generator first, and
-    every word that generates it is counted exactly once: when it is
-    marked.  The next word to close is the next unmarked byte.
+    f runs over the irreducible factors of x^alpha - 1 and x^beta - 1,
+    and e is the larger of f's multiplicity in x^alpha - 1 and twice its
+    multiplicity in x^beta - 1.  The shift S is annihilated by x^alpha - 1
+    on the binary block and by (x^beta - 1)^2 on the R block
+    (x^beta = 1 + u, u^2 = 0), so its minimal polynomial divides the
+    product of the f^e, and the ambient is the direct sum of the V_f
+    (primary decomposition over the PID F2[x]; Jacobson, *Basic Algebra
+    I*, ch. 3).  f^e(S) is applied to the unit vectors by shift iterates,
+    and V_f is the null space of the rows of that matrix.
     """
     nbits = alpha + 2 * beta
-    check_budget(nbits, budget)
-    if nbits >= sys.maxsize.bit_length():
-        raise BudgetExceededError(
-            f"word length {nbits} bits is too wide for the census: "
-            f"2^{nbits} orbit marks exceed the largest bytearray"
-        )
+    exponent: dict[BinPoly, int] = {}
+    if alpha:
+        for f, mult in factor(x_pow_n_minus_1(alpha)):
+            exponent[f] = mult
+    if beta:
+        for f, mult in factor(x_pow_n_minus_1(beta)):
+            exponent[f] = max(exponent.get(f, 0), 2 * mult)
+    powers = [(f**exponent[f]).bits for f in sorted(exponent)]
+    # vectors[j] is S^k applied to 1 << j, and images[c][j] sums these
+    # over the set bits k of component c's f^e: one pass of shifts serves
+    # every component.
+    images = [[0] * nbits for _ in powers]
+    vectors = [1 << j for j in range(nbits)]
+    for k in range(max(powers, default=0).bit_length()):
+        for power, image in zip(powers, images):
+            if power >> k & 1:
+                image[:] = [m ^ v for m, v in zip(image, vectors)]
+        vectors = [shift_packed(v, alpha, beta) for v in vectors]
+    components = []
+    for image in images:
+        # Row i holds bit i of every column j at bit j: the transpose, read
+        # off the columns' binary texts, last column first.
+        rows: list[int] = []
+        for bits in zip(*(format(m, f"0{nbits}b") for m in reversed(image))):
+            basis_insert(rows, int("".join(bits), 2))
+        components.append(CodeSet.from_basis(alpha, beta, null_space(rows, nbits)).basis)
+    return components
+
+
+def _cyclic_submodules(
+    alpha: int,
+    beta: int,
+    budget: int = CENSUS_BUDGET,
+    space: "tuple[int, ...] | None" = None,
+) -> dict[tuple[int, ...], list[int]]:
+    """Every distinct cyclic submodule inside the submodule spanned by
+    ``space`` (a fully reduced RREF basis; the whole ambient, its unit
+    vectors, when None), as {RREF basis: [word, generators]}: the least
+    word that generates it and the number of words that do, in ascending
+    order of that least word.
+
+    The marks index the words of the space by their coordinates, their
+    bits at the pivots of the basis.  The basis is fully reduced, so a
+    word is the XOR of the basis vectors at the set bits of its
+    coordinate, and coordinates ascend with the words (as in
+    :func:`~z2ucodes.codewords.span_array`).  Coordinates are linear, so
+    u C and the cosets below are marked in coordinates.
+
+    Walks the nonzero words in ascending order and closes each word w not
+    yet marked, under {+, x*, u*}, to C = A w.  Then it marks every word
+    x^i w + v with v in u C, and counts each newly marked word once for
+    C.  These words all generate C: (1 + u p(x))^2 = 1, so 1 + u p(x) is
+    a unit, and (1 + u p(x)) x^i w = x^i w + u p(x) x^i w with x^i a unit
+    too (x^alpha = 1, x^beta = 1 + u).  They lie in the space, since it
+    is a submodule.  Since u^2 = 0, u C = u F2[x] w, which is the XOR
+    span of the u-multiples of C's basis: a list of Python ints that
+    doubles with each u-multiple not yet in it, so the marks need no
+    second closure.  The cosets x^i w + u C are permuted by the shift
+    (u C is shift-invariant), so they come back to w's own coset, and
+    marking stops at the first coset already marked.  A marked word
+    generates a known submodule, so each cyclic submodule is closed at
+    its least generator first, and every word that generates it is
+    counted exactly once: when it is marked.  The next word to close is
+    the next unmarked byte.
+    """
+    if space is None:
+        space = tuple(1 << i for i in reversed(range(alpha + 2 * beta)))
+    dim = len(space)
+    check_budget(dim, budget)
+    rows = space[::-1]
+    pivots = [b.bit_length() - 1 for b in rows]
+
+    def coordinate(w: int) -> int:
+        c = 0
+        for i, p in enumerate(pivots):
+            c |= (w >> p & 1) << i
+        return c
+
     try:
-        done = bytearray(1 << nbits)
+        done = bytearray(1 << dim)
     except MemoryError:
         raise BudgetExceededError(
-            f"the census cannot allocate its 2^{nbits} orbit marks ({1 << nbits} bytes)"
+            f"the census cannot allocate its 2^{dim} orbit marks ({1 << dim} bytes)"
         ) from None
     cyclic: dict[tuple[int, ...], list[int]] = {}
-    w = done.find(0, 1)
-    while w > 0:
+    c = done.find(0, 1)
+    while c > 0:
+        w = 0
+        for i, b in enumerate(rows):
+            if c >> i & 1:
+                w ^= b
         basis = closure_basis([w], alpha, beta)
         entry = cyclic.setdefault(basis, [w, 0])
         u_span = [0]
         for b in basis:
-            v = umul_packed(b, alpha, beta)
+            v = coordinate(umul_packed(b, alpha, beta))
             if v not in u_span:
                 u_span += [s ^ v for s in u_span]
-        coset = w
-        while not done[coset]:
+        coset, mark = w, c
+        while not done[mark]:
             for v in u_span:
-                done[coset ^ v] = 1
+                done[mark ^ v] = 1
             entry[1] += len(u_span)
             coset = shift_packed(coset, alpha, beta)
-        w = done.find(0, w + 1)
+            mark = coordinate(coset)
+        c = done.find(0, c + 1)
     return cyclic
 
 
 def _join_irreducibles(
-    alpha: int, beta: int, budget: int = CENSUS_BUDGET
+    alpha: int,
+    beta: int,
+    budget: int = CENSUS_BUDGET,
+    space: "tuple[int, ...] | None" = None,
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """The join-irreducible submodules, as (word, RREF basis) pairs with
-    the word generating the submodule, in ascending order of rank.
+    """The join-irreducible submodules inside the submodule spanned by
+    ``space`` (the whole ambient when None), as (word, RREF basis) pairs
+    with the word generating the submodule, in ascending order of rank.
 
     Every join-irreducible is cyclic (a module is the sum of the cyclic
     submodules of its elements), so it is one of
@@ -239,15 +313,16 @@ def _join_irreducibles(
     """
     irreducible = [
         (w, basis)
-        for basis, (w, gens) in _cyclic_submodules(alpha, beta, budget).items()
+        for basis, (w, gens) in _cyclic_submodules(alpha, beta, budget, space).items()
         if ((1 << len(basis)) - gens).bit_count() == 1
     ]
     return sorted(irreducible, key=lambda c: len(c[1]))
 
 
-def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> int:
-    """Exhaustive submodule count as the join lattice of the
-    join-irreducible submodules (:func:`_join_irreducibles`).
+def _count_joins(irreducible: list[tuple[int, tuple[int, ...]]]) -> int:
+    """The number of submodules that are sums of the join-irreducibles
+    ``irreducible`` (:func:`_join_irreducibles`), the zero module
+    included, counted as the join lattice they generate.
 
     Walks up from the zero module.  For a known module M, let out be
     the join-irreducibles whose word does not reduce to 0 against M;
@@ -272,7 +347,6 @@ def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> in
     popped.  Different sets S can still give the same module, and the
     seen set of bases merges them.
     """
-    irreducible = _join_irreducibles(alpha, beta, budget)
     below = [
         sum(
             1 << k
@@ -308,6 +382,34 @@ def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> in
                     seen.add(key)
                     worklist.append((key, joint))
     return len(seen)
+
+
+def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> int:
+    """Exhaustive submodule count, as the product of the submodule
+    counts of the f-primary components (:func:`_primary_components`).
+
+    The projections of the ambient onto its components V_f are
+    polynomials in the shift, and u commutes with the shift, so every
+    submodule N is the direct sum of its pieces N meet V_f, each a
+    submodule of V_f, and every choice of pieces gives a submodule.
+    Each component's submodules are counted as the join lattice
+    (:func:`_count_joins`) of its join-irreducibles
+    (:func:`_join_irreducibles`), on 2^dim(V_f) marks.  The budget and
+    the word-width limit are still charged by the whole ambient of
+    2^(alpha + 2*beta) words, before x^alpha - 1 and x^beta - 1 are
+    factored.
+    """
+    nbits = alpha + 2 * beta
+    check_budget(nbits, budget)
+    if nbits >= sys.maxsize.bit_length():
+        raise BudgetExceededError(
+            f"word length {nbits} bits is too wide for the census: "
+            f"2^{nbits} orbit marks exceed the largest bytearray"
+        )
+    return math.prod(
+        _count_joins(_join_irreducibles(alpha, beta, budget, space))
+        for space in _primary_components(alpha, beta)
+    )
 
 
 def cyclic_code_from_generator(gen: BinPoly, n: int) -> CodeSet:

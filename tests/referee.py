@@ -16,7 +16,8 @@ instead, as numpy arrays:
   computed as a GF(2) kernel.
 
 ``is_irreducible``, ``expand`` and ``rpoly_mul_mod_cyclic`` are
-polynomial oracles written from their definitions.
+polynomial oracles written from their definitions, and ``word_texts``
+the text and order of words written with one ``RElem`` per symbol.
 """
 
 from dataclasses import dataclass
@@ -326,3 +327,15 @@ def rpoly_mul_mod_cyclic(a: RPoly, b: RPoly, beta: int) -> RPoly:
         raise ValueError("beta must be >= 1")
     d = a * b
     return RPoly(reduce_mod_xn_minus_1(d.p, beta), reduce_mod_xn_minus_1(d.q, beta))
+
+
+def word_texts(words, alpha: int, beta: int) -> list[str]:
+    """Referee of ``codewords.word_texts``: each word as a (bits list,
+    symbol-order list, text) row, the rows sorted as tuples."""
+    rows = []
+    for w in map(int, words):
+        bits = [(w >> i) & 1 for i in range(alpha)]
+        symbols = [RElem(w >> (alpha + j), w >> (alpha + beta + j)) for j in range(beta)]
+        text = "".join(map(str, bits)) + "|" + ",".join(map(str, symbols))
+        rows.append((bits, [e.order_index for e in symbols], text))
+    return [text for _, _, text in sorted(rows)]

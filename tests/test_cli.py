@@ -300,8 +300,15 @@ def test_census_too_wide_for_orbit_marks_exits_2(capsys, beta):
 
 @pytest.mark.parametrize("beta, budget", [(16, 1 << 33), (30, 1 << 61)])
 def test_census_that_cannot_allocate_its_marks_exits_2(capsys, monkeypatch, beta, budget):
-    # 2^33 or 2^61 marks fit the budget but not the memory; the allocation
-    # is patched to fail as it does under a tight address-space limit.
+    # 2^33 or 2^61 ambient words fit the budget; the allocation of the
+    # marks is patched to fail, as 2^33 marks do under a tight
+    # address-space limit.  The first marks allocated are those of the
+    # x + 1 component: 1 dimension from the binary block and 2 * 2^k from
+    # the R block, with 2^k the largest power of 2 dividing beta, since
+    # x^beta - 1 holds (x + 1)^(2^k).  At beta = 16 that component is the
+    # whole ambient.
+    first = 1 + 2 * (beta & -beta)
+
     def no_memory(size):
         raise MemoryError
 
@@ -311,7 +318,7 @@ def test_census_that_cannot_allocate_its_marks_exits_2(capsys, monkeypatch, beta
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"2^{1 + 2 * beta} orbit marks" in err
+    assert f"2^{first} orbit marks" in err
 
 
 # The options of each subcommand, in usage order: --budget only where the

@@ -424,8 +424,14 @@ def test_generator_counts_match_the_orbit_walk(alpha, beta):
     assert list(found.items()) == list(cyclic_submodules(alpha, beta).items())
 
 
-def closures_made(alpha, beta, monkeypatch):
-    """The words the census closes, in order, with their closures."""
+def whole_ambient_census(alpha, beta, budget=1 << 18):
+    """The census walk on the whole ambient, given by its n unit vectors:
+    the helpers of count_codes_census on one space of 2^n marks."""
+    return structure._count_joins(structure._join_irreducibles(alpha, beta, budget))
+
+
+def closures_made(alpha, beta, monkeypatch, census=whole_ambient_census):
+    """The words a census closes, in order, with their closures."""
     closed = []
 
     def close_and_log(gens, a, b):
@@ -434,7 +440,7 @@ def closures_made(alpha, beta, monkeypatch):
         return basis
 
     monkeypatch.setattr(structure, "closure_basis", close_and_log)
-    count_codes_census(alpha, beta)
+    census(alpha, beta)
     return closed
 
 
@@ -459,6 +465,22 @@ def test_census_closures_at_the_benchmark_pairs(alpha, beta, closures, monkeypat
     assert len(closures_made(alpha, beta, monkeypatch)) == closures
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, closures", [(3, 3, [5, 9]), (1, 5, [5, 6]), (5, 3, [5, 2, 3])]
+)
+def test_census_closures_per_component_at_the_benchmark_pairs(
+    alpha, beta, closures, monkeypatch
+):
+    # 35 closures in all, against 171 for the whole-ambient walk.
+    closed = closures_made(alpha, beta, monkeypatch, census=count_codes_census)
+    components = structure._primary_components(alpha, beta)
+    per_component = [
+        sum(reduce_against(w, space) == 0 for w, _ in closed) for space in components
+    ]
+    assert per_component == closures
+    assert sum(per_component) == len(closed)
+
+
 CRT_PAIRS = [
     (1, 1), (1, 3), (3, 1), (3, 3), (1, 5), (5, 1), (3, 5), (5, 3), (7, 1), (7, 3), (9, 1),
     (1, 7), (5, 5),
@@ -470,6 +492,70 @@ def test_census_matches_the_crt_hypothesis(alpha, beta):
     # A hypothesis recorded as data, for odd lengths; the stated formula
     # 2^C2(alpha) * 3^C2(beta) counts a shared factor as 6, not 2q + 4.
     assert count_codes_census(alpha, beta) == crt_census(alpha, beta)
+
+
+BENCHMARK_PAIRS = [(3, 3), (1, 5), (5, 3)]
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    dict.fromkeys([*ORACLE_PAIRS, *CRT_PAIRS, *EVEN_LENGTH_CENSUS, *BENCHMARK_PAIRS]),
+)
+def test_census_equals_the_whole_ambient_walk(alpha, beta):
+    # The product over the primary components counts the same submodules
+    # as one walk over all 2^(alpha + 2*beta) ambient words.
+    expected = whole_ambient_census(alpha, beta)
+    assert count_codes_census(alpha, beta, 1 << 18) == expected
+
+
+COMPONENT_PAIRS = [(a, b) for a in range(1, 9) for b in range(1, 9)] + [
+    (9, 9), (12, 6), (5, 15), (15, 5), (15, 15), (1, 16), (1, 30),
+]
+
+
+@pytest.mark.parametrize("alpha, beta", COMPONENT_PAIRS)
+def test_primary_components_split_the_ambient(alpha, beta):
+    # Each component is a submodule, and together they span the ambient
+    # with dimensions that add up to its length, so the sum is direct.
+    components = structure._primary_components(alpha, beta)
+    for space in components:
+        assert space == closure_basis(space, alpha, beta)
+        for b in space:
+            assert reduce_against(shift_packed(b, alpha, beta), space) == 0
+            assert reduce_against(umul_packed(b, alpha, beta), space) == 0
+    nbits = alpha + 2 * beta
+    assert sum(len(space) for space in components) == nbits
+    assert CodeSet.from_basis(alpha, beta, [b for s in components for b in s]).rank == nbits
+
+
+@pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS + [(3, 3), (1, 5), (5, 3), (4, 4), (2, 6)])
+def test_component_walk_matches_the_whole_ambient(alpha, beta):
+    # On a component's coordinates the walk finds the cyclic submodules of
+    # the whole-ambient walk that lie in that component, in the same order,
+    # with the same least word and the same number of generators.  Every
+    # join-irreducible lies in one component.
+    whole = structure._cyclic_submodules(alpha, beta, 1 << 18)
+    irreducible = set()
+    for space in structure._primary_components(alpha, beta):
+        inside = [item for item in whole.items() if reduce_against(item[1][0], space) == 0]
+        walked = structure._cyclic_submodules(alpha, beta, 1 << 18, space)
+        assert list(walked.items()) == inside
+        irreducible |= set(structure._join_irreducibles(alpha, beta, 1 << 18, space))
+    assert irreducible == set(structure._join_irreducibles(alpha, beta, 1 << 18))
+
+
+@pytest.mark.parametrize("alpha, beta", [(9, 9), (5, 15), (15, 5), (15, 15)])
+def test_census_past_the_whole_ambient_matches_the_crt_hypothesis(alpha, beta):
+    # Between 2^25 and 2^45 ambient words; the largest component has at
+    # most 18 dimensions.
+    budget = 1 << (alpha + 2 * beta)
+    assert count_codes_census(alpha, beta, budget) == crt_census(alpha, beta)
+
+
+def test_census_at_12_6_matches_the_distinct_spec_codes():
+    # 10,679 distinct closures over the valid specs at (12, 6), counted
+    # outside the tier-1 suite.
+    assert count_codes_census(12, 6, 1 << 24) == 10679
 
 
 def test_census_at_7_7_matches_the_crt_hypothesis():

@@ -13,9 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2ucodes.gf2poly import ONE, ZERO
-from z2ucodes.codewords import CodeSet, CodeSpec, closure_of_spec, span_array, xor_table
+from z2ucodes.codewords import (
+    CodeSet,
+    CodeSpec,
+    closure_of_spec,
+    span_array,
+    word_texts,
+    xor_table,
+)
 from z2ucodes.duality import dual_bruteforce
 from z2ucodes.gray import lee_weight_packed, min_distance
+
+import referee
 
 
 @st.composite
@@ -105,3 +114,24 @@ def test_full_code_scans_take_the_ascending_path(monkeypatch):
     assert dual.rank == 0
     assert dual_bruteforce(dual) == full
     assert min_distance(full) == 1
+
+
+@settings(deadline=None, max_examples=100)
+@given(drawn_codes(), st.randoms(use_true_random=False))
+def test_word_texts_match_the_symbol_referee(drawn, rng):
+    # Random words in random order, with repeats; alpha or beta may be 0.
+    alpha, beta, vectors = drawn
+    n = alpha + 2 * beta
+    words = vectors + [rng.getrandbits(n) for _ in range(rng.randrange(40))]
+    words += words[: rng.randrange(len(words) + 1)]
+    rng.shuffle(words)
+    assert word_texts(words, alpha, beta) == referee.word_texts(words, alpha, beta)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0, 1), (0, 3), (1, 0), (5, 0), (2, 2)])
+def test_word_texts_of_the_whole_ambient(alpha, beta):
+    words = list(range(1 << (alpha + 2 * beta)))[::-1]
+    texts = word_texts(words, alpha, beta)
+    assert texts == referee.word_texts(words, alpha, beta)
+    assert texts[0] == "0" * alpha + "|" + ",".join(["0"] * beta)
+    assert texts[-1] == "1" * alpha + "|" + ",".join(["1+u"] * beta)
