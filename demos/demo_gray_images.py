@@ -17,7 +17,7 @@ from z2ucodes import (
     self_dual_transfer,
 )
 from z2ucodes.codewords import closure_of_spec, word_texts
-from z2ucodes.gf2poly import ZERO, bit_reverse
+from z2ucodes.gf2poly import bit_reverse
 from z2ucodes.gray import (
     format_binary_code,
     gray_block_packed,
@@ -44,7 +44,7 @@ print("double cyclic in block layout:", is_double_cyclic(img, 2, 6))
 print(format_binary_code(img, "block").splitlines()[0])
 
 # A self-dual code transfers to a binary self-dual image
-sd = closure_of_spec(CodeSpec(2, 1, 2, parse_poly("1+x"), ZERO, parse_poly("1")))
+sd = closure_of_spec(CodeSpec(2, 1, 2, parse_poly("1+x"), 0, parse_poly("1")))
 print("self-dual transfer:", self_dual_transfer(sd).image_self_dual)
 
 # The three documented codes with claimed optimal images, measured:

@@ -6,8 +6,6 @@ against exhaustive enumeration oracles at desk scale.
 """
 
 from .gf2poly import (
-    MINUS_INF,
-    BinPoly,
     Factorization,
     cyclotomic_class_count,
     divisors_of_xn_minus_1,
@@ -15,10 +13,13 @@ from .gf2poly import (
     parse_poly,
     poly_divmod,
     poly_gcd,
+    poly_mul,
+    poly_pow,
+    poly_text,
     reciprocal,
     x_pow_n_minus_1,
 )
-from .ringr import RElem, RPoly, bar_reduce, mu_map, rpoly_mul_mod
+from .ringr import mu_map, rpoly_mul_mod
 from .codewords import (
     BinaryCode,
     CodeSet,

@@ -23,17 +23,17 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .gf2poly import (
-    ONE,
-    ZERO,
-    BinPoly,
+    divisors_of_xn_minus_1,
     parse_poly,
     poly_divmod,
     poly_gcd,
-    divisors_of_xn_minus_1,
+    poly_mod,
+    poly_mul,
+    poly_text,
     x_pow_n_minus_1,
     xn_minus_1_mod,
 )
-from .ringr import RPoly, RP_U, reduce_mod_xn_minus_1, reduce_rpoly
+from .ringr import reduce_rpoly
 
 DEFAULT_BUDGET = 1 << 24
 CENSUS_BUDGET = 1 << 16
@@ -103,11 +103,11 @@ def shift_packed(w, alpha: int, beta: int):
     return a | (p << alpha) | (q << (alpha + beta))
 
 
-def ambient_word(first: BinPoly, second: RPoly, alpha: int, beta: int) -> int:
-    """The packed word of (first, second), each reduced in its quotient ring."""
-    first = reduce_mod_xn_minus_1(first, alpha)
-    second = reduce_rpoly(second, beta)
-    return first.bits | second.p.bits << alpha | second.q.bits << (alpha + beta)
+def ambient_word(first: int, second: tuple[int, int], alpha: int, beta: int) -> int:
+    """The packed word of (first, second), a polynomial and a (p, q) pair,
+    each reduced in its quotient ring."""
+    p, q = reduce_rpoly(second, beta)
+    return poly_mod(first, x_pow_n_minus_1(alpha)) | p << alpha | q << (alpha + beta)
 
 
 def umul_packed(w, alpha: int, beta: int):
@@ -346,20 +346,14 @@ def word_texts(words: Iterable[int], alpha: int, beta: int) -> list[str]:
     """
     split = alpha + beta
     top = 1 << (split + beta)
-
-    def digits(w: int) -> str:
-        return format(w | top, "b")[:0:-1]
-
-    def key(w: int) -> int:
-        d = digits(w)
-        return int("1" + d[:split], 4) + 2 * int("1" + d[split:], 4)
-
-    texts = []
-    for w in sorted(map(int, words), key=key):
-        d = digits(w)
+    rows = []
+    for w in map(int, words):
+        d = format(w | top, "b")[:0:-1]
+        key = int("1" + d[:split], 4) + 2 * int("1" + d[split:], 4)
         symbols = map(_SYMBOL_TEXTS.__getitem__, zip(d[alpha:split], d[split:]))
-        texts.append(d[:alpha] + "|" + ",".join(symbols))
-    return texts
+        rows.append((key, d[:alpha] + "|" + ",".join(symbols)))
+    rows.sort()
+    return [text for _, text in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +363,13 @@ def word_texts(words: Iterable[int], alpha: int, beta: int) -> list[str]:
 _CASE_NAMES = {1: "Case1", 2: "Case2", 3: "Case3"}
 
 
-def y_generator_of(case: int, g: BinPoly, f: "BinPoly | None") -> RPoly:
-    """The second-block generator g, u*g or f*g of a case."""
+def y_generator_of(case: int, g: int, f: "int | None") -> tuple[int, int]:
+    """The second-block generator g, u*g or f*g of a case, as a (p, q) pair."""
     if case == 1:
-        return RPoly(g)
+        return g, 0
     if case == 2:
-        return RPoly(ZERO, g)
-    return RPoly(f * g)
+        return 0, g
+    return poly_mul(f, g), 0
 
 
 @dataclass(frozen=True)
@@ -385,10 +379,10 @@ class CodeSpec:
     alpha: int
     beta: int
     case: int
-    a: BinPoly
-    l: BinPoly
-    g: BinPoly
-    f: "BinPoly | None" = None
+    a: int
+    l: int
+    g: int
+    f: "int | None" = None
 
     def __post_init__(self):
         if self.alpha < 1 or self.beta < 1:
@@ -400,45 +394,45 @@ class CodeSpec:
         if self.case != 3 and self.f is not None:
             raise ValueError("f is only meaningful for case 3")
 
-    def h(self) -> BinPoly:
+    def h(self) -> int:
         """(x^beta - 1) / g, exact for valid specs."""
         q, r = poly_divmod(x_pow_n_minus_1(self.beta), self.g)
-        if not r.is_zero():
-            raise SpecValidationError([f"g = {self.g} does not divide x^{self.beta}-1"])
+        if r:
+            raise SpecValidationError([f"g = {poly_text(self.g)} does not divide x^{self.beta}-1"])
         return q
 
-    def y_generator(self) -> RPoly:
+    def y_generator(self) -> tuple[int, int]:
         """The second-block generator polynomial as an element of R[x]."""
         return y_generator_of(self.case, self.g, self.f)
 
     def generators(self) -> list[int]:
         """The module generators (a, 0) and (l, y-part) as packed words."""
         return [
-            ambient_word(self.a, RPoly(), self.alpha, self.beta),
+            ambient_word(self.a, (0, 0), self.alpha, self.beta),
             ambient_word(self.l, self.y_generator(), self.alpha, self.beta),
         ]
 
     def is_separable(self) -> bool:
-        return self.l.is_zero()
+        return not self.l
 
     def serialize(self) -> str:
         lines = [
             f"alpha = {self.alpha}",
             f"beta = {self.beta}",
             f"case = {self.case}",
-            f"a = {self.a}",
-            f"l = {self.l}",
-            f"g = {self.g}",
+            f"a = {poly_text(self.a)}",
+            f"l = {poly_text(self.l)}",
+            f"g = {poly_text(self.g)}",
         ]
         if self.f is not None:
-            lines.append(f"f = {self.f}")
+            lines.append(f"f = {poly_text(self.f)}")
         return "\n".join(lines) + "\n"
 
     def __str__(self):
-        tail = f", f={self.f}" if self.f is not None else ""
+        tail = f", f={poly_text(self.f)}" if self.f is not None else ""
         return (
             f"{_CASE_NAMES[self.case]}(alpha={self.alpha}, beta={self.beta}, "
-            f"a={self.a}, l={self.l}, g={self.g}{tail})"
+            f"a={poly_text(self.a)}, l={poly_text(self.l)}, g={poly_text(self.g)}{tail})"
         )
 
 
@@ -483,7 +477,7 @@ def parse_spec_text(text: str) -> CodeSpec:
                 return number
         raise SpecParseError(f"{key} must be a positive integer, got {value!r}", lines[key])
 
-    def poly(key: str) -> BinPoly:
+    def poly(key: str) -> int:
         value = need(key)
         try:
             return parse_poly(value)
@@ -515,15 +509,18 @@ def load_spec_file(path) -> CodeSpec:
 def validate_spec(spec: CodeSpec) -> list[str]:
     """Check the structural constraints; violations are data, not errors."""
     violations: list[str] = []
-    if spec.a.is_zero() or xn_minus_1_mod(spec.alpha, spec.a.bits):
-        violations.append(f"a = {spec.a} does not divide x^{spec.alpha}-1")
-    if spec.g.is_zero() or xn_minus_1_mod(spec.beta, spec.g.bits):
-        violations.append(f"g = {spec.g} does not divide x^{spec.beta}-1")
-    if spec.case == 3 and not spec.f.divides(spec.g):
-        violations.append(f"f = {spec.f} does not divide g = {spec.g}")
-    if not spec.l.is_zero() and not spec.a.is_zero() and not spec.l.degree < spec.a.degree:
-        violations.append(f"deg(l) = {spec.l.degree} is not below deg(a) = {spec.a.degree}")
-    if not violations and not (spec.l % l_base(spec.case, spec.a, spec.g, spec.beta)).is_zero():
+    a, l, g, f = spec.a, spec.l, spec.g, spec.f
+    if not a or xn_minus_1_mod(spec.alpha, a):
+        violations.append(f"a = {poly_text(a)} does not divide x^{spec.alpha}-1")
+    if not g or xn_minus_1_mod(spec.beta, g):
+        violations.append(f"g = {poly_text(g)} does not divide x^{spec.beta}-1")
+    if spec.case == 3 and (not f or poly_mod(g, f)):
+        violations.append(f"f = {poly_text(f)} does not divide g = {poly_text(g)}")
+    if l and a and l.bit_length() >= a.bit_length():
+        violations.append(
+            f"deg(l) = {l.bit_length() - 1} is not below deg(a) = {a.bit_length() - 1}"
+        )
+    if not violations and poly_mod(l, l_base(spec.case, a, g, spec.beta)):
         window = "((x^beta-1)/g)" if spec.case == 2 else "(x^beta-1)"
         violations.append(f"a does not divide {window} * l")
     return violations
@@ -552,11 +549,11 @@ def spanning_set(spec: CodeSpec) -> list[SpanningElement]:
     """The stated minimal spanning family S1 u S2 u S3."""
     require_valid(spec)
     alpha, beta = spec.alpha, spec.beta
-    t1 = 0 if spec.a.is_zero() else spec.a.degree
-    t2 = 0 if spec.g.is_zero() else spec.g.degree
-    lh = spec.l * spec.h()
+    t1 = 0 if not spec.a else spec.a.bit_length() - 1
+    t2 = 0 if not spec.g else spec.g.bit_length() - 1
+    lh = poly_mul(spec.l, spec.h())
 
-    def powers(first: BinPoly, second: RPoly, count: int, multiples: int, group: str):
+    def powers(first: int, second: tuple[int, int], count: int, multiples: int, group: str):
         # x^i * (first, second): multiplying by x is the constacyclic shift.
         elems = []
         w = ambient_word(first, second, alpha, beta)
@@ -566,16 +563,16 @@ def spanning_set(spec: CodeSpec) -> list[SpanningElement]:
         return elems
 
     out: list[SpanningElement] = []
-    out += powers(spec.a, RPoly(), alpha - t1, 2, "S1")
+    out += powers(spec.a, (0, 0), alpha - t1, 2, "S1")
     if spec.case == 1:
-        out += powers(spec.l, RPoly(spec.g), beta - t2, 4, "S2")
-        out += powers(lh, RP_U, t2, 2, "S3")
+        out += powers(spec.l, (spec.g, 0), beta - t2, 4, "S2")
+        out += powers(lh, (0, 1), t2, 2, "S3")
     elif spec.case == 2:
-        out += powers(spec.l, RPoly(ZERO, spec.g), beta - t2, 2, "S2")
+        out += powers(spec.l, (0, spec.g), beta - t2, 2, "S2")
     else:
-        t3 = 0 if spec.f.is_zero() else spec.f.degree
-        out += powers(spec.l, RPoly(spec.f * spec.g), beta - t2, 4, "S2")
-        out += powers(lh, RPoly(ZERO, spec.f), t2 - t3, 2, "S3")
+        t3 = 0 if not spec.f else spec.f.bit_length() - 1
+        out += powers(spec.l, (poly_mul(spec.f, spec.g), 0), beta - t2, 4, "S2")
+        out += powers(lh, (0, spec.f), t2 - t3, 2, "S3")
     return out
 
 
@@ -592,14 +589,14 @@ def spanning_span(elements: Sequence[SpanningElement], alpha: int, beta: int) ->
 
 def cardinality_formula(spec: CodeSpec) -> int:
     """The case-appropriate closed-form codeword count."""
-    t1 = 0 if spec.a.is_zero() else spec.a.degree
-    t2 = 0 if spec.g.is_zero() else spec.g.degree
+    t1 = 0 if not spec.a else spec.a.bit_length() - 1
+    t2 = 0 if not spec.g else spec.g.bit_length() - 1
     alpha, beta = spec.alpha, spec.beta
     if spec.case == 1:
         return (1 << (alpha - t1)) * (1 << (2 * (beta - t2))) * (1 << t2)
     if spec.case == 2:
         return (1 << (alpha - t1)) * (1 << (beta - t2))
-    t3 = 0 if spec.f.is_zero() else spec.f.degree
+    t3 = 0 if not spec.f else spec.f.bit_length() - 1
     return (1 << (alpha - t1)) * (1 << (2 * (beta - t2))) * (1 << (t2 - t3))
 
 
@@ -638,7 +635,7 @@ def is_constacyclic(code: CodeSet) -> bool:
 # sweeping the valid spec space
 
 
-def l_base(case: int, a: BinPoly, g: BinPoly, beta: int) -> BinPoly:
+def l_base(case: int, a: int, g: int, beta: int) -> int:
     """The base b of the l condition: a | w*l exactly when b divides l,
     for the window w = (x^beta-1)/g in case 2 and x^beta-1 otherwise.
 
@@ -646,13 +643,13 @@ def l_base(case: int, a: BinPoly, g: BinPoly, beta: int) -> BinPoly:
     a | ((x^beta-1)/g)*l iff a*g | (x^beta-1)*l) and m = a otherwise.  The
     gcd starts from (x^beta-1) mod m, so x^beta-1 is never built.
     """
-    m = a * g if case == 2 else a
-    return m // poly_gcd(m, BinPoly(xn_minus_1_mod(beta, m.bits)))
+    m = poly_mul(a, g) if case == 2 else a
+    return poly_divmod(m, poly_gcd(m, xn_minus_1_mod(beta, m)))[0]
 
 
 def iter_spec_families(
     alpha: int, beta: int, case: int
-) -> Iterator[tuple[BinPoly, BinPoly, "BinPoly | None"]]:
+) -> Iterator[tuple[int, int, "int | None"]]:
     """(a, g, f) of every valid spec family of one case, in sweep order.
 
     The family's valid l are those with deg(l) < deg(a) and base | l, for
@@ -664,10 +661,10 @@ def iter_spec_families(
     divs_b = divisors_of_xn_minus_1(beta)
     if case == 3:
         for f in divs_b:
-            if f == ONE:
+            if f == 1:
                 continue
             for g in divs_b:
-                if f.divides(g):
+                if not poly_mod(g, f):
                     for a in divs_a:
                         yield a, g, f
         return
@@ -686,5 +683,5 @@ def iter_valid_specs(
         if case in cases:
             for a, g, f in iter_spec_families(alpha, beta, case):
                 base = l_base(case, a, g, beta)
-                for mbits in range(1 << (a.degree - base.degree)):
-                    yield CodeSpec(alpha, beta, case, a, BinPoly(mbits) * base, g, f)
+                for m in range(1 << (a.bit_length() - base.bit_length())):
+                    yield CodeSpec(alpha, beta, case, a, poly_mul(m, base), g, f)

@@ -18,16 +18,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .gf2poly import (
-    ONE,
-    ZERO,
-    BinPoly,
     factor,
     poly_divmod,
     poly_gcd,
+    poly_mod,
+    poly_mul,
+    poly_pow,
+    poly_text,
     reciprocal,
     x_pow_n_minus_1,
 )
-from .ringr import RP_ZERO, RPoly, reduce_rpoly
+from .ringr import reduce_rpoly
 from .codewords import (
     DEFAULT_BUDGET,
     CodeSet,
@@ -77,7 +78,8 @@ def _orthogonality_rows(code: CodeSet) -> list[int]:
 
 
 def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
-    """All ambient elements orthogonal to every codeword.
+    """All ambient elements orthogonal to every codeword, as a GF(2)
+    kernel; no ambient word is scanned.
 
     Testing against the generating set suffices by bilinearity; each
     generator contributes two parity conditions, folded into a fully
@@ -95,7 +97,8 @@ def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
 
 
 def check_dual_constacyclic(code: CodeSet, budget: int = DEFAULT_BUDGET) -> bool:
-    """Does the brute-force dual pass the constacyclic closure check?"""
+    """Does the dual, the GF(2) kernel of :func:`dual_bruteforce`, pass
+    the constacyclic closure check?"""
     return is_constacyclic(dual_bruteforce(code, budget))
 
 
@@ -112,21 +115,22 @@ def dual_degree_formulas(spec: CodeSpec) -> DualDegrees:
     """The stated dual-degree expressions, evaluated verbatim.
 
     Negative values are possible on admissible inputs and are reported
-    as-is; the brute-force dual is the ground truth.
+    as-is; the dual computed as a GF(2) kernel (:func:`dual_bruteforce`)
+    is the ground truth.
     """
     require_valid(spec)
     alpha, beta = spec.alpha, spec.beta
-    da = spec.a.degree
-    dg = spec.g.degree
+    da = spec.a.bit_length() - 1
+    dg = spec.g.bit_length() - 1
     h = spec.h()
-    dh = h.degree
-    d_gcd_lh = poly_gcd(spec.a, spec.l * h).degree
-    d_gcd_l = poly_gcd(spec.a, spec.l).degree
+    dh = h.bit_length() - 1
+    d_gcd_lh = poly_gcd(spec.a, poly_mul(spec.l, h)).bit_length() - 1
+    d_gcd_l = poly_gcd(spec.a, spec.l).bit_length() - 1
     if spec.case == 1:
         return DualDegrees(alpha - d_gcd_lh, dh + da - d_gcd_lh)
     if spec.case == 2:
         return DualDegrees(alpha - d_gcd_l, dh - da + d_gcd_l)
-    df = spec.f.degree
+    df = spec.f.bit_length() - 1
     return DualDegrees(
         alpha - d_gcd_lh,
         beta - df - da - d_gcd_l,
@@ -134,7 +138,7 @@ def dual_degree_formulas(spec: CodeSpec) -> DualDegrees:
     )
 
 
-def _beta_factor_exponents(spec: CodeSpec) -> tuple[int, list[tuple[BinPoly, int]]]:
+def _beta_factor_exponents(spec: CodeSpec) -> tuple[int, list[tuple[int, int]]]:
     """(2^e, [(irreducible factor of x^beta-1, exponent in f*g)])."""
     beta = spec.beta
     e = 0
@@ -143,8 +147,8 @@ def _beta_factor_exponents(spec: CodeSpec) -> tuple[int, list[tuple[BinPoly, int
         e += 1
         m //= 2
     base = factor(x_pow_n_minus_1(beta))
-    fg_f = factor(spec.f) if spec.f is not None and spec.f != ONE else None
-    fg_g = factor(spec.g) if spec.g != ONE else None
+    fg_f = factor(spec.f) if spec.f is not None and spec.f != 1 else None
+    fg_g = factor(spec.g) if spec.g != 1 else None
     exps = []
     for p, _mult in base:
         c = 0
@@ -156,40 +160,37 @@ def _beta_factor_exponents(spec: CodeSpec) -> tuple[int, list[tuple[BinPoly, int
     return 1 << e, exps
 
 
-def separable_dual(spec: CodeSpec) -> CodeSpec:
-    """Dual generator spec for separable codes (l = 0)."""
-    if not spec.l.is_zero():
-        raise ValueError("separable dual formulas require l = 0")
-    xa = x_pow_n_minus_1(spec.alpha)
-    xb = x_pow_n_minus_1(spec.beta)
-    abar = xa // reciprocal(spec.a)
-    if spec.case == 1:
-        return CodeSpec(spec.alpha, spec.beta, 2, abar, ZERO, xb // reciprocal(spec.g))
-    if spec.case == 2:
-        return CodeSpec(spec.alpha, spec.beta, 1, abar, ZERO, xb // reciprocal(spec.g))
-    # Factor-power case: exponent i_j goes to 2^(e+1) - i_j, reciprocated.
-    two_e, exps = _beta_factor_exponents(spec)
-    fbar = ONE
-    gbar = ONE
-    for p, c in exps:
-        dual_c = 2 * two_e - c
-        if dual_c < 0:
-            raise ValueError(f"exponent {c} of {p} exceeds 2^(e+1)")
-        pstar = reciprocal(p)
-        g_mult = min(dual_c, two_e)
-        gbar = gbar * pstar**g_mult
-        fbar = fbar * pstar ** (dual_c - g_mult)
-    return CodeSpec(spec.alpha, spec.beta, 3, abar, ZERO, gbar, fbar)
-
-
 _DUAL_CASE = {1: 2, 2: 1, 3: 3}
 
 
+def separable_dual(spec: CodeSpec) -> CodeSpec:
+    """Dual generator spec for separable codes (l = 0)."""
+    if spec.l:
+        raise ValueError("separable dual formulas require l = 0")
+    abar = poly_divmod(x_pow_n_minus_1(spec.alpha), reciprocal(spec.a))[0]
+    if spec.case in (1, 2):
+        gbar = poly_divmod(x_pow_n_minus_1(spec.beta), reciprocal(spec.g))[0]
+        return CodeSpec(spec.alpha, spec.beta, _DUAL_CASE[spec.case], abar, 0, gbar)
+    # Factor-power case: exponent i_j goes to 2^(e+1) - i_j, reciprocated.
+    two_e, exps = _beta_factor_exponents(spec)
+    fbar = 1
+    gbar = 1
+    for p, c in exps:
+        dual_c = 2 * two_e - c
+        if dual_c < 0:
+            raise ValueError(f"exponent {c} of {poly_text(p)} exceeds 2^(e+1)")
+        pstar = reciprocal(p)
+        g_mult = min(dual_c, two_e)
+        gbar = poly_mul(gbar, poly_pow(pstar, g_mult))
+        fbar = poly_mul(fbar, poly_pow(pstar, dual_c - g_mult))
+    return CodeSpec(spec.alpha, spec.beta, 3, abar, 0, gbar, fbar)
+
+
 @functools.lru_cache(maxsize=4096)
-def _second_block_rank(beta: int, y: RPoly) -> int:
+def _second_block_rank(beta: int, y: tuple[int, int]) -> int:
     """Rank of the submodule of R[x]/(x^beta - 1 - u) generated by y."""
-    y = reduce_rpoly(y, beta)
-    return len(closure_basis([y.p.bits | y.q.bits << beta], 0, beta))
+    p, q = reduce_rpoly(y, beta)
+    return len(closure_basis([p | q << beta], 0, beta))
 
 
 def recover_spec(
@@ -217,30 +218,30 @@ def recover_spec(
     alpha, beta = dual.alpha, dual.beta
     second_rank = sum(1 for b in dual.basis if b >> alpha)
     first_rems: dict[int, int] = {}
-    y_rems: dict[RPoly, int] = {}
+    y_rems: dict[tuple[int, int], int] = {}
 
-    def rem(first: BinPoly, second: RPoly) -> int:
+    def rem(first: int, second: tuple[int, int]) -> int:
         return reduce_against(ambient_word(first, second, alpha, beta), dual.basis)
 
-    def first_rem(bits: int) -> int:
-        if bits not in first_rems:
-            first_rems[bits] = rem(BinPoly(bits), RP_ZERO)
-        return first_rems[bits]
+    def first_rem(first: int) -> int:
+        if first not in first_rems:
+            first_rems[first] = rem(first, (0, 0))
+        return first_rems[first]
 
     for case in cases:
         for a, g, f in iter_spec_families(alpha, beta, case):
-            if first_rem(a.bits):
+            if first_rem(a):
                 continue
             y = y_generator_of(case, g, f)
             if _second_block_rank(beta, y) != second_rank:
                 continue
             if y not in y_rems:
-                y_rems[y] = rem(ZERO, y)
+                y_rems[y] = rem(0, y)
             base = l_base(case, a, g, beta)
-            free = a.degree - base.degree
-            table = xor_table([first_rem(base.bits << i) for i in range(free)])
-            for mbits in [m for m, r in enumerate(table) if r == y_rems[y]]:
-                cand = CodeSpec(alpha, beta, case, a, BinPoly(mbits) * base, g, f)
+            free = a.bit_length() - base.bit_length()
+            table = xor_table([first_rem(base << i) for i in range(free)])
+            for m in [m for m, r in enumerate(table) if r == y_rems[y]]:
+                cand = CodeSpec(alpha, beta, case, a, poly_mul(m, base), g, f)
                 if closure_of_spec(cand, budget).basis == dual.basis:
                     return cand
     return None
@@ -248,7 +249,7 @@ def recover_spec(
 
 @dataclass
 class DualReport:
-    """Brute-force dual next to the stated degree predictions."""
+    """The dual next to the stated degree predictions."""
 
     spec: CodeSpec
     dual: CodeSet
@@ -274,8 +275,9 @@ class DualReport:
     def observed_degrees(self) -> "DualDegrees | None":
         if self.observed is None:
             return None
-        fdeg = self.observed.f.degree if self.observed.f is not None else None
-        return DualDegrees(self.observed.a.degree, self.observed.g.degree, fdeg)
+        a, g, f = self.observed.a, self.observed.g, self.observed.f
+        fdeg = f.bit_length() - 1 if f is not None else None
+        return DualDegrees(a.bit_length() - 1, g.bit_length() - 1, fdeg)
 
     def to_dict(self) -> dict:
         obs = self.observed_degrees()
@@ -316,20 +318,15 @@ def build_dual_report(
 # eta pairing and Gray-route dual predictions
 
 
-def _theta_at_power(t: int, step: int) -> BinPoly:
+def _theta_at_power(t: int, step: int) -> int:
     """theta_t(x^step) = 1 + x^step + ... + x^(step*(t-1))."""
     bits = 0
     for i in range(t):
         bits |= 1 << (step * i)
-    return BinPoly(bits)
+    return bits
 
 
-def eta_pair(
-    c1: tuple[BinPoly, BinPoly],
-    c2: tuple[BinPoly, BinPoly],
-    alpha: int,
-    beta: int,
-) -> BinPoly:
+def eta_pair(c1: tuple[int, int], c2: tuple[int, int], alpha: int, beta: int) -> int:
     """The bilinear pairing into Z2[x]/(x^m - 1) with m = 2*lcm(alpha, beta).
 
     A zero right-hand component contributes the zero summand (its degree
@@ -338,29 +335,15 @@ def eta_pair(
     import math
 
     m = 2 * math.lcm(alpha, beta)
-    xm = x_pow_n_minus_1(m)
-    xa = x_pow_n_minus_1(alpha)
-    xb = x_pow_n_minus_1(beta)
-    c11, c12 = c1[0] % xa, c1[1] % xb
-    c21, c22 = c2[0] % xa, c2[1] % xb
-    total = ZERO
-    if not c11.is_zero() and not c21.is_zero():
-        term = (
-            c11
-            * _theta_at_power(m // alpha, alpha)
-            * BinPoly(1 << (m - 1 - c21.degree))
-            * reciprocal(c21)
-        )
-        total = total + term % xm
-    if not c12.is_zero() and not c22.is_zero():
-        term = (
-            c12
-            * _theta_at_power(m // beta, beta)
-            * BinPoly(1 << (m - 1 - c22.degree))
-            * reciprocal(c22)
-        )
-        total = total + term % xm
-    return total % xm
+    total = 0
+    for left, right, n in ((c1[0], c2[0], alpha), (c1[1], c2[1], beta)):
+        left = poly_mod(left, x_pow_n_minus_1(n))
+        right = poly_mod(right, x_pow_n_minus_1(n))
+        if left and right:
+            term = poly_mul(left, _theta_at_power(m // n, n))
+            term = poly_mul(term, reciprocal(right)) << (m - right.bit_length())
+            total ^= poly_mod(term, x_pow_n_minus_1(m))
+    return total
 
 
 @dataclass(frozen=True)
@@ -368,7 +351,7 @@ class GrayRoutePrediction:
     """One predicted dual polynomial from the Gray-image route."""
 
     name: str
-    value: "BinPoly | None"
+    value: "int | None"
     exact: bool
 
 
@@ -378,12 +361,12 @@ class GrayRouteDual:
 
     abar: GrayRoutePrediction
     second: tuple[GrayRoutePrediction, ...]
-    lbar_family_base: BinPoly  # lbar = base * lambda with lambda undetermined
+    lbar_family_base: int  # lbar = base * lambda with lambda undetermined
 
 
-def _exact_div(name: str, num: BinPoly, den: BinPoly) -> GrayRoutePrediction:
+def _exact_div(name: str, num: int, den: int) -> GrayRoutePrediction:
     q, r = poly_divmod(num, den)
-    if r.is_zero():
+    if not r:
         return GrayRoutePrediction(name, q, True)
     return GrayRoutePrediction(name, None, False)
 
@@ -394,24 +377,22 @@ def gray_route_dual(spec: CodeSpec) -> GrayRouteDual:
     alpha, beta = spec.alpha, spec.beta
     xa = x_pow_n_minus_1(alpha)
     xb = x_pow_n_minus_1(beta)
-    gstar = reciprocal(poly_gcd(spec.a, spec.l)) if not (spec.a.is_zero() and spec.l.is_zero()) else ONE
+    gstar = reciprocal(poly_gcd(spec.a, spec.l)) if spec.a or spec.l else 1
     astar = reciprocal(spec.a)
     abar = _exact_div("abar", xa, gstar)
-    lbase = xa // astar
+    lbase = poly_divmod(xa, astar)[0]
+    x2b_gstar = poly_mul(x_pow_n_minus_1(2 * beta), gstar)
     if spec.case == 1:
-        second = (_exact_div("gbar", xb * gstar, astar * reciprocal(spec.g)),)
+        second = (_exact_div("gbar", poly_mul(xb, gstar), poly_mul(astar, reciprocal(spec.g))),)
     elif spec.case == 2:
-        second = (
-            _exact_div(
-                "gbar", x_pow_n_minus_1(2 * beta) * gstar, astar * reciprocal(spec.g) * xb
-            ),
-        )
+        den = poly_mul(poly_mul(astar, reciprocal(spec.g)), xb)
+        second = (_exact_div("gbar", x2b_gstar, den),)
     else:
-        x2b = x_pow_n_minus_1(2 * beta)
-        preds = []
-        for p, c in _beta_factor_exponents(spec)[1]:
-            if c == 0:
-                continue
-            preds.append(_exact_div(f"fbar[{p}]", x2b * gstar, astar * reciprocal(p) ** c))
-        second = tuple(preds)
+        second = tuple(
+            _exact_div(
+                f"fbar[{poly_text(p)}]", x2b_gstar, poly_mul(astar, poly_pow(reciprocal(p), c))
+            )
+            for p, c in _beta_factor_exponents(spec)[1]
+            if c
+        )
     return GrayRouteDual(abar, second, lbase)

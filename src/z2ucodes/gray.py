@@ -166,13 +166,14 @@ def gray_dimension_formula(spec: CodeSpec) -> int:
     """Predicted binary image dimension from the generator degrees."""
     require_valid(spec)
     n = spec.alpha + 2 * spec.beta
-    da = spec.a.degree
+    da = spec.a.bit_length() - 1
+    dg = spec.g.bit_length() - 1
     if spec.case == 1:
-        return n - da - spec.g.degree
+        return n - da - dg
     if spec.case == 2:
         # "deg g(x^beta - 1)" resolved as deg(g) + beta.
-        return n - da - (spec.g.degree + spec.beta)
-    return n - da - spec.f.degree - spec.g.degree
+        return n - da - (dg + spec.beta)
+    return n - da - (spec.f.bit_length() - 1) - dg
 
 
 @dataclass

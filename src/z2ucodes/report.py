@@ -13,8 +13,7 @@ import json
 import math
 import random
 
-from .gf2poly import ZERO, poly_gcd
-from .ringr import RPoly, RP_U
+from .gf2poly import poly_gcd, poly_mul, poly_text
 from .codewords import (
     DEFAULT_BUDGET,
     CodeSet,
@@ -193,7 +192,7 @@ def _type_checks(rows: _Rows, spec: CodeSpec, code: CodeSet, budget: int) -> Non
     expected_cx = cyclic_code_from_generator(poly_gcd(spec.a, spec.l), spec.alpha)
     rows.compare_sets("C_X is the cyclic code of gcd(a, l)", expected_cx.basis, cx.basis)
     y_only = enumerate_closure(
-        [ambient_word(ZERO, spec.y_generator(), spec.alpha, spec.beta)],
+        [ambient_word(0, spec.y_generator(), spec.alpha, spec.beta)],
         spec.alpha,
         spec.beta,
         budget,
@@ -203,9 +202,9 @@ def _type_checks(rows: _Rows, spec: CodeSpec, code: CodeSet, budget: int) -> Non
     )
     if spec.case == 1:
         gens = [
-            ambient_word(spec.a, RPoly(), spec.alpha, spec.beta),
-            ambient_word(spec.l * spec.h(), RP_U, spec.alpha, spec.beta),
-            ambient_word(ZERO, RPoly(ZERO, spec.g), spec.alpha, spec.beta),
+            ambient_word(spec.a, (0, 0), spec.alpha, spec.beta),
+            ambient_word(poly_mul(spec.l, spec.h()), (0, 1), spec.alpha, spec.beta),
+            ambient_word(0, (0, spec.g), spec.alpha, spec.beta),
         ]
         cb_gen = enumerate_closure(gens, spec.alpha, spec.beta, budget)
         rows.compare_sets(
@@ -254,14 +253,14 @@ def _dual_checks(rows: _Rows, spec: CodeSpec, code: CodeSet, budget: int) -> Cod
     if route.abar.exact and recovered_as_stated is not None:
         rows.compare(
             "Gray-route abar prediction",
-            str(route.abar.value),
-            str(recovered_as_stated.a),
+            poly_text(route.abar.value),
+            poly_text(recovered_as_stated.a),
         )
     else:
         rows.add(
             "Gray-route abar prediction",
             "info" if route.abar.exact else "finding",
-            f"abar = {route.abar.value if route.abar.exact else 'inexact division'}",
+            f"abar = {poly_text(route.abar.value) if route.abar.exact else 'inexact division'}",
         )
     for pred in route.second:
         if (
@@ -272,14 +271,14 @@ def _dual_checks(rows: _Rows, spec: CodeSpec, code: CodeSet, budget: int) -> Cod
         ):
             rows.compare(
                 "Gray-route gbar prediction",
-                str(pred.value),
-                str(recovered_as_stated.g),
+                poly_text(pred.value),
+                poly_text(recovered_as_stated.g),
             )
         else:
             rows.add(
                 f"Gray-route prediction {pred.name}",
                 "info" if pred.exact else "finding",
-                str(pred.value) if pred.exact else "stated division is inexact",
+                poly_text(pred.value) if pred.exact else "stated division is inexact",
             )
     return dual
 

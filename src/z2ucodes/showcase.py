@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf2poly import parse_poly
-from .ringr import RPoly
 from .codewords import CodeSet, CodeSpec, ambient_word, closure_of_spec, enumerate_closure
 from .gray import gray_image, min_distance
 
@@ -40,7 +39,7 @@ class ShowcaseCode:
 
 
 def _generator(a: str, p: str, q: str, alpha: int, beta: int) -> tuple[tuple[int, ...], int, int]:
-    word = ambient_word(parse_poly(a), RPoly(parse_poly(p), parse_poly(q)), alpha, beta)
+    word = ambient_word(parse_poly(a), (parse_poly(p), parse_poly(q)), alpha, beta)
     return (word,), alpha, beta
 
 

@@ -14,7 +14,15 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .gf2poly import BinPoly, cyclotomic_class_count, factor, poly_gcd, x_pow_n_minus_1
+from .gf2poly import (
+    cyclotomic_class_count,
+    factor,
+    poly_gcd,
+    poly_mod,
+    poly_mul,
+    poly_pow,
+    x_pow_n_minus_1,
+)
 from .codewords import (
     CENSUS_BUDGET,
     BudgetExceededError,
@@ -101,11 +109,11 @@ def type_from_formulas(spec: CodeSpec) -> CodeType:
     """Type parameters from the closed-form degree expressions."""
     require_valid(spec)
     alpha, beta = spec.alpha, spec.beta
-    da = spec.a.degree
-    dg = spec.g.degree
-    lh = spec.l * spec.h()
-    d_gcd_lh = poly_gcd(lh, spec.a).degree
-    d_gcd_l = poly_gcd(spec.l, spec.a).degree
+    da = spec.a.bit_length() - 1
+    dg = spec.g.bit_length() - 1
+    lh = poly_mul(spec.l, spec.h())
+    d_gcd_lh = poly_gcd(lh, spec.a).bit_length() - 1
+    d_gcd_l = poly_gcd(spec.l, spec.a).bit_length() - 1
     if spec.case == 1:
         k0 = alpha - d_gcd_lh
         k1 = alpha + dg - da
@@ -123,7 +131,7 @@ def type_from_formulas(spec: CodeSpec) -> CodeType:
         k2p = 0
         k2pp = 0
     else:
-        df = spec.f.degree
+        df = spec.f.bit_length() - 1
         k0 = alpha - d_gcd_l
         k1 = alpha + dg - da - df
         k2 = beta - dg
@@ -176,14 +184,14 @@ def _primary_components(alpha: int, beta: int) -> list[tuple[int, ...]]:
     and V_f is the null space of the rows of that matrix.
     """
     nbits = alpha + 2 * beta
-    exponent: dict[BinPoly, int] = {}
+    exponent: dict[int, int] = {}
     if alpha:
         for f, mult in factor(x_pow_n_minus_1(alpha)):
             exponent[f] = mult
     if beta:
         for f, mult in factor(x_pow_n_minus_1(beta)):
             exponent[f] = max(exponent.get(f, 0), 2 * mult)
-    powers = [(f**exponent[f]).bits for f in sorted(exponent)]
+    powers = [poly_pow(f, exponent[f]) for f in sorted(exponent)]
     # vectors[j] is S^k applied to 1 << j, and images[c][j] sums these
     # over the set bits k of component c's f^e: one pass of shifts serves
     # every component.
@@ -206,16 +214,12 @@ def _primary_components(alpha: int, beta: int) -> list[tuple[int, ...]]:
 
 
 def _cyclic_submodules(
-    alpha: int,
-    beta: int,
-    budget: int = CENSUS_BUDGET,
-    space: "tuple[int, ...] | None" = None,
+    alpha: int, beta: int, budget: int, space: tuple[int, ...]
 ) -> dict[tuple[int, ...], list[int]]:
     """Every distinct cyclic submodule inside the submodule spanned by
-    ``space`` (a fully reduced RREF basis; the whole ambient, its unit
-    vectors, when None), as {RREF basis: [word, generators]}: the least
-    word that generates it and the number of words that do, in ascending
-    order of that least word.
+    ``space`` (a fully reduced RREF basis), as {RREF basis: [word,
+    generators]}: the least word that generates it and the number of
+    words that do, in ascending order of that least word.
 
     The marks index the words of the space by their coordinates, their
     bits at the pivots of the basis.  The basis is fully reduced, so a
@@ -241,8 +245,6 @@ def _cyclic_submodules(
     counted exactly once: when it is marked.  The next word to close is
     the next unmarked byte.
     """
-    if space is None:
-        space = tuple(1 << i for i in reversed(range(alpha + 2 * beta)))
     dim = len(space)
     check_budget(dim, budget)
     rows = space[::-1]
@@ -286,13 +288,10 @@ def _cyclic_submodules(
 
 
 def _join_irreducibles(
-    alpha: int,
-    beta: int,
-    budget: int = CENSUS_BUDGET,
-    space: "tuple[int, ...] | None" = None,
+    alpha: int, beta: int, budget: int, space: tuple[int, ...]
 ) -> list[tuple[int, tuple[int, ...]]]:
     """The join-irreducible submodules inside the submodule spanned by
-    ``space`` (the whole ambient when None), as (word, RREF basis) pairs
+    ``space`` (a fully reduced RREF basis), as (word, RREF basis) pairs
     with the word generating the submodule, in ascending order of rank.
 
     Every join-irreducible is cyclic (a module is the sum of the cyclic
@@ -412,13 +411,13 @@ def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> in
     )
 
 
-def cyclic_code_from_generator(gen: BinPoly, n: int) -> CodeSet:
+def cyclic_code_from_generator(gen: int, n: int) -> CodeSet:
     """Binary cyclic code of length n generated by gen (may be zero).
 
     At beta = 0 the closure's shift is the n-bit rotation and its
     u-multiple is 0, so the closure of gen is the cyclic code.
     """
-    return CodeSet(n, 0, closure_basis([(gen % x_pow_n_minus_1(n)).bits], n, 0))
+    return CodeSet(n, 0, closure_basis([poly_mod(gen, x_pow_n_minus_1(n))], n, 0))
 
 
 def census_table(

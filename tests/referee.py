@@ -15,9 +15,14 @@ instead, as numpy arrays:
 - ``dual_scan`` decides every ambient word, the referee of the dual
   computed as a GF(2) kernel.
 
-``is_irreducible``, ``expand`` and ``rpoly_mul_mod_cyclic`` are
-polynomial oracles written from their definitions, and ``word_texts``
-the text and order of words written with one ``RElem`` per symbol.
+The package computes on ints: a GF(2)[x] polynomial is an int and an
+R[x] element a (p, q) pair of them.  The referee keeps its own object
+arithmetic, written from the definitions: ``BinPoly`` (coefficients,
+long division, degree -inf for zero), ``RElem`` (the four scalars of R)
+and ``RPoly`` (p + u*q over them).  ``is_irreducible``, ``expand``,
+``rpoly_mul_mod`` and ``rpoly_mul_mod_cyclic`` are polynomial oracles
+built on them, and ``word_texts`` the text and order of words written
+with one ``RElem`` per symbol.
 """
 
 from dataclasses import dataclass
@@ -27,15 +32,170 @@ import numpy as np
 
 from z2ucodes.codewords import CodeSet, basis_insert, check_word_width
 from z2ucodes.duality import _orthogonality_rows
-from z2ucodes.gf2poly import MINUS_INF, ONE, BinPoly, Factorization
 from z2ucodes.gray import gray_block_packed
-from z2ucodes.ringr import R_ONE, R_ONE_U, R_U, R_ZERO, RElem, RPoly
-from z2ucodes.ringr import bar_reduce, reduce_mod_xn_minus_1, rpoly_mul_mod
 
+# ---------------------------------------------------------------------------
+# polynomial and ring objects
+
+# The degree of the zero polynomial.
+MINUS_INF = float("-inf")
+
+
+class BinPoly:
+    """A polynomial over GF(2); bit i of ``bits`` is the coefficient of x^i."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: int = 0):
+        self.bits = bits
+
+    @property
+    def degree(self):
+        return self.bits.bit_length() - 1 if self.bits else MINUS_INF
+
+    def is_zero(self) -> bool:
+        return self.bits == 0
+
+    def coeff(self, i: int) -> int:
+        return (self.bits >> i) & 1
+
+    def __add__(self, other: "BinPoly") -> "BinPoly":
+        return BinPoly(self.bits ^ other.bits)
+
+    def __mul__(self, other: "BinPoly") -> "BinPoly":
+        """The sum of x^i * other over the terms x^i of self."""
+        acc = 0
+        for i in range(self.bits.bit_length()):
+            if self.coeff(i):
+                acc ^= other.bits << i
+        return BinPoly(acc)
+
+    def __pow__(self, e: int) -> "BinPoly":
+        result = BinPoly(1)
+        for _ in range(e):
+            result = result * self
+        return result
+
+    def __divmod__(self, other: "BinPoly") -> tuple["BinPoly", "BinPoly"]:
+        """Long division: take away x^k * other for the leading term of
+        the remainder until its degree is below other's."""
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
+        q, r = ZERO, self
+        while r.degree >= other.degree:
+            k = r.degree - other.degree
+            q, r = q + BinPoly(1 << k), r + BinPoly(other.bits << k)
+        return q, r
+
+    def __mod__(self, other: "BinPoly") -> "BinPoly":
+        return divmod(self, other)[1]
+
+    def divides(self, other: "BinPoly") -> bool:
+        return not self.is_zero() and (other % self).is_zero()
+
+    def __eq__(self, other):
+        return isinstance(other, BinPoly) and self.bits == other.bits
+
+    def __str__(self):
+        """Ascending terms 1, x, x^i joined by +; 0 for zero."""
+        terms = [
+            "1" if i == 0 else ("x" if i == 1 else f"x^{i}")
+            for i in range(self.bits.bit_length())
+            if self.coeff(i)
+        ]
+        return "+".join(terms) or "0"
+
+
+ZERO = BinPoly(0)
+ONE = BinPoly(1)
+
+
+class RElem:
+    """p + u*q in R = F2 + uF2, u^2 = 0, from the low bits of p and q.
+    Each of the four values is one object."""
+
+    __slots__ = ("p", "q")
+    _values: dict = {}
+
+    def __new__(cls, p: int, q: int):
+        key = (p & 1, q & 1)
+        if key not in cls._values:
+            elem = cls._values[key] = super().__new__(cls)
+            elem.p, elem.q = key
+        return cls._values[key]
+
+    def __add__(self, other: "RElem") -> "RElem":
+        return RElem(self.p ^ other.p, self.q ^ other.q)
+
+    def __mul__(self, other: "RElem") -> "RElem":
+        # (p1 + u q1)(p2 + u q2) = p1 p2 + u (p1 q2 + q1 p2)
+        return RElem(self.p & other.p, (self.p & other.q) ^ (self.q & other.p))
+
+    def __str__(self):
+        return SYMBOLS[self]
+
+
+R_ZERO = RElem(0, 0)
+R_ONE = RElem(1, 0)
+R_U = RElem(0, 1)
+R_ONE_U = RElem(1, 1)
 # The symbols in text order 0 < 1 < u < 1+u, with their names.
 SYMBOLS = {R_ZERO: "0", R_ONE: "1", R_U: "u", R_ONE_U: "1+u"}
+RELEMS = tuple(SYMBOLS)
 LEE = {R_ZERO: 0, R_ONE: 1, R_U: 2, R_ONE_U: 1}
 ORDER = {e: i for i, e in enumerate(SYMBOLS)}
+
+
+class RPoly(NamedTuple):
+    """p(x) + u*q(x) over R, from two GF(2) polynomials."""
+
+    p: BinPoly = ZERO
+    q: BinPoly = ZERO
+
+    @property
+    def degree(self):
+        return max(self.p.degree, self.q.degree)
+
+    def coeff(self, i: int) -> RElem:
+        return RElem(self.p.coeff(i), self.q.coeff(i))
+
+    def __add__(self, other: "RPoly") -> "RPoly":
+        return RPoly(self.p + other.p, self.q + other.q)
+
+    def __mul__(self, other: "RPoly") -> "RPoly":
+        return RPoly(self.p * other.p, self.p * other.q + self.q * other.p)
+
+    def pair(self) -> tuple[int, int]:
+        """The package's form of the element: the (p, q) pair of ints."""
+        return self.p.bits, self.q.bits
+
+
+def rpoly(pair: tuple[int, int]) -> RPoly:
+    """The RPoly of the package's (p, q) pair."""
+    return RPoly(BinPoly(pair[0]), BinPoly(pair[1]))
+
+
+def _rpoly_mod(d: RPoly, modulus: RPoly) -> RPoly:
+    """d modulo a monic modulus, by long division in R[x]."""
+    while d.degree >= modulus.degree:
+        k = d.degree - modulus.degree
+        lead = d.coeff(d.degree)
+        d = d + RPoly(BinPoly(lead.p << k), BinPoly(lead.q << k)) * modulus
+    return d
+
+
+def rpoly_mul_mod(a: RPoly, b: RPoly, beta: int) -> RPoly:
+    """Product in R[x]/(x^beta - 1 - u) = R[x]/(x^beta + 1 + u)."""
+    if beta < 1:
+        raise ValueError("beta must be >= 1")
+    return _rpoly_mod(a * b, RPoly(BinPoly(1 << beta | 1), ONE))
+
+
+def rpoly_mul_mod_cyclic(a: RPoly, b: RPoly, beta: int) -> RPoly:
+    """Product in R[x]/(x^beta - 1), the domain ring of the mu map."""
+    if beta < 1:
+        raise ValueError("beta must be >= 1")
+    return _rpoly_mod(a * b, RPoly(BinPoly(1 << beta | 1)))
 
 
 class Ambient(NamedTuple):
@@ -45,6 +205,10 @@ class Ambient(NamedTuple):
     second: RPoly
     alpha: int
     beta: int
+
+    def ints(self) -> tuple[int, tuple[int, int], int, int]:
+        """The arguments of ``codewords.ambient_word``."""
+        return self.first.bits, self.second.pair(), self.alpha, self.beta
 
 
 @dataclass(frozen=True)
@@ -127,8 +291,9 @@ def shift(c: Codeword) -> Codeword:
 
 
 def star_mul(d: RPoly, c: Ambient) -> Ambient:
-    """d(x) * (a(x), b(x)) = (dbar(x) a(x), d(x) b(x)) in the ambient module."""
-    first = reduce_mod_xn_minus_1(bar_reduce(d) * c.first, c.alpha)
+    """d(x) * (a(x), b(x)) = (dbar(x) a(x), d(x) b(x)) in the ambient
+    module, where dbar = d mod u is the p part."""
+    first = (d.p * c.first) % BinPoly(1 << c.alpha | 1)
     return Ambient(first, rpoly_mul_mod(d, c.second, c.beta), c.alpha, c.beta)
 
 
@@ -299,34 +464,21 @@ def dual_scan(code: CodeSet) -> CodeSet:
 # polynomial oracles
 
 
-def is_irreducible(p: BinPoly) -> bool:
-    """Exhaustive trial division by every polynomial up to half degree."""
-    deg = p.degree
-    if deg is MINUS_INF or deg < 1:
+def is_irreducible(bits: int) -> bool:
+    """Exhaustive trial division by every polynomial of degree 1 up to
+    half the degree."""
+    p = BinPoly(bits)
+    if p.degree < 1:
         return False
-    for cand in range(2, 1 << (deg // 2 + 1)):
-        if cand.bit_length() - 1 < 1:
-            continue
-        if BinPoly(cand).divides(p):
-            return False
-    return True
+    return not any(BinPoly(cand).divides(p) for cand in range(2, 1 << (p.degree // 2 + 1)))
 
 
-def expand(factorization: Factorization) -> BinPoly:
-    """The product of the factors, with multiplicity."""
+def expand(factorization) -> int:
+    """The product of the (factor, multiplicity) pairs, as an int."""
     result = ONE
     for f, m in factorization:
-        result = result * f**m
-    return result
-
-
-def rpoly_mul_mod_cyclic(a: RPoly, b: RPoly, beta: int) -> RPoly:
-    """Product in R[x]/(x^beta - 1), the domain ring of the mu map: the
-    product's two components, each folded modulo x^beta - 1."""
-    if beta < 1:
-        raise ValueError("beta must be >= 1")
-    d = a * b
-    return RPoly(reduce_mod_xn_minus_1(d.p, beta), reduce_mod_xn_minus_1(d.q, beta))
+        result = result * BinPoly(f) ** m
+    return result.bits
 
 
 def word_texts(words, alpha: int, beta: int) -> list[str]:
@@ -337,5 +489,5 @@ def word_texts(words, alpha: int, beta: int) -> list[str]:
         bits = [(w >> i) & 1 for i in range(alpha)]
         symbols = [RElem(w >> (alpha + j), w >> (alpha + beta + j)) for j in range(beta)]
         text = "".join(map(str, bits)) + "|" + ",".join(map(str, symbols))
-        rows.append((bits, [e.order_index for e in symbols], text))
+        rows.append((bits, [ORDER[e] for e in symbols], text))
     return [text for _, _, text in sorted(rows)]

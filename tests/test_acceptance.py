@@ -17,7 +17,7 @@ import pytest
 
 import acceptance_log
 
-from z2ucodes.gf2poly import ZERO, factor, parse_poly, x_pow_n_minus_1
+from z2ucodes.gf2poly import factor, parse_poly, poly_mul, poly_pow, x_pow_n_minus_1
 from z2ucodes.codewords import (
     CodeSet,
     CodeSpec,
@@ -237,19 +237,19 @@ def _factor_power_specs(alpha: int, beta: int):
     base = [p for p, _ in factor(x_pow_n_minus_1(beta))]
     from itertools import product as iproduct
 
-    from z2ucodes.gf2poly import ONE, divisors_of_xn_minus_1
+    from z2ucodes.gf2poly import divisors_of_xn_minus_1
 
     for a in divisors_of_xn_minus_1(alpha):
         for exps in iproduct(range(2 * two_e + 1), repeat=len(base)):
             if not any(two_e <= c <= 2 * two_e for c in exps):
                 continue
-            f = ONE
-            g = ONE
+            f = 1
+            g = 1
             for p, c in zip(base, exps):
                 gm = min(c, two_e)
-                g = g * p**gm
-                f = f * p ** (c - gm)
-            yield CodeSpec(alpha, beta, 3, a, ZERO, g, f)
+                g = poly_mul(g, poly_pow(p, gm))
+                f = poly_mul(f, poly_pow(p, c - gm))
+            yield CodeSpec(alpha, beta, 3, a, 0, g, f)
 
 
 def test_c06_separable_duals():
@@ -440,7 +440,7 @@ def test_c12_verify_determinism():
     second = verify_report(spec, seed=11)
     assert render_text(first) == render_text(second)
     assert render_json(first) == render_json(second)
-    sep = CodeSpec(3, 3, 2, parse_poly("1+x"), ZERO, parse_poly("1+x+x^2"))
+    sep = CodeSpec(3, 3, 2, parse_poly("1+x"), 0, parse_poly("1+x+x^2"))
     assert render_text(verify_report(sep, seed=3)) == render_text(verify_report(sep, seed=3))
     acceptance_log.record(
         12, "verify reports are byte-identical for a fixed seed", True, "two specs, two seeds"

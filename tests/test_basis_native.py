@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2ucodes.gf2poly import ZERO, parse_poly
+from z2ucodes.gf2poly import parse_poly
 from z2ucodes.codewords import (
     CodeSet,
     CodeSpec,
@@ -211,7 +211,7 @@ def test_double_cyclic_false_single_word():
 
 
 def test_double_cyclic_false_interleaved_image():
-    spec = CodeSpec(1, 2, 1, parse_poly("1"), ZERO, parse_poly("1+x^2"))
+    spec = CodeSpec(1, 2, 1, parse_poly("1"), 0, parse_poly("1+x^2"))
     img = gray_image(closure_of_spec(spec), "interleaved")
     assert _double_cyclic_both_ways(img, 1, 4) == (False, False)
     block = gray_image(closure_of_spec(spec), "block")

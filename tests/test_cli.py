@@ -16,7 +16,6 @@ from z2ucodes.codewords import (
     closure_basis,
     closure_of_spec,
 )
-from z2ucodes.gf2poly import ONE, ZERO
 from z2ucodes.cli import main
 from z2ucodes.report import render_json, render_text
 
@@ -92,7 +91,7 @@ class TestSpecCommands:
     def test_construct_past_the_index_size(self):
         # The full (21,21) code has 2^63 words, one more than an index can
         # count, so len(code) would overflow; the size comes from the rank.
-        spec = CodeSpec(21, 21, 1, ONE, ZERO, ONE)
+        spec = CodeSpec(21, 21, 1, 1, 0, 1)
         code = CodeSet(21, 21, closure_basis(spec.generators(), 21, 21))
         assert code.rank == 63
         doc = cli._construct(argparse.Namespace(emit_words=False), spec, code)

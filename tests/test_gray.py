@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2ucodes import codewords
-from z2ucodes.gf2poly import ONE, ZERO, parse_poly
-from z2ucodes.ringr import R_ONE, R_ONE_U, R_U, R_ZERO
+from z2ucodes.gf2poly import parse_poly
 from z2ucodes.codewords import (
     CodeSet,
     CodeSpec,
@@ -27,7 +26,8 @@ from z2ucodes.gray import (
     self_dual_transfer,
 )
 
-from referee import Codeword, gray_map, gray_symbol, lee_weight, min_distance_scan, word_array
+from referee import R_ONE, R_ONE_U, R_U, R_ZERO, Codeword, gray_map, gray_symbol, lee_weight
+from referee import min_distance_scan, word_array
 
 
 def P(text):
@@ -198,7 +198,7 @@ class TestMinDistance:
         assert min_distance(full) == 1
 
     def test_repetition_style(self):
-        spec = CodeSpec(3, 1, 2, P("1+x+x^2"), ZERO, P("1+x"))
+        spec = CodeSpec(3, 1, 2, P("1+x+x^2"), 0, P("1+x"))
         code = closure_of_spec(spec)
         assert min_distance(code) == 3
 
@@ -216,7 +216,7 @@ class TestMinDistance:
                 assert min_distance(code) == min_distance_scan(code), spec
 
     def test_full_code_builds_no_word_set(self, monkeypatch):
-        full = closure_of_spec(CodeSpec(7, 7, 1, ONE, ZERO, ONE))
+        full = closure_of_spec(CodeSpec(7, 7, 1, 1, 0, 1))
 
         def refuse(*args, **kwargs):
             raise AssertionError("the distance should come from the basis alone")
@@ -287,11 +287,11 @@ class TestDimensionFormula:
         assert gray_dimension_formula(WORKED) == 5
 
     def test_full_space(self):
-        spec = CodeSpec(2, 3, 1, P("1"), ZERO, P("1"))
+        spec = CodeSpec(2, 3, 1, P("1"), 0, P("1"))
         assert gray_dimension_formula(spec) == 8
 
     def test_case2_reading(self):
-        spec = CodeSpec(2, 3, 2, P("1+x"), ZERO, P("1+x"))
+        spec = CodeSpec(2, 3, 2, P("1+x"), 0, P("1+x"))
         assert gray_dimension_formula(spec) == 2 + 6 - 1 - (1 + 3)
 
     def test_matches_rank_on_separable_sweep(self):
@@ -304,7 +304,7 @@ class TestDimensionFormula:
 
 class TestSelfDualTransfer:
     def test_separable_code(self):
-        spec = CodeSpec(2, 3, 1, P("1+x"), ZERO, P("1+x"))
+        spec = CodeSpec(2, 3, 1, P("1+x"), 0, P("1+x"))
         rep = self_dual_transfer(closure_of_spec(spec))
         assert rep.image_dual_equal == {"interleaved": True, "block": True}
         assert not rep.code_self_dual
@@ -314,7 +314,7 @@ class TestSelfDualTransfer:
         assert all(rep.image_dual_equal.values())
 
     def test_self_dual_example(self):
-        spec = CodeSpec(2, 1, 2, P("1+x"), ZERO, P("1"))
+        spec = CodeSpec(2, 1, 2, P("1+x"), 0, P("1"))
         rep = self_dual_transfer(closure_of_spec(spec))
         assert rep.code_self_dual
         assert rep.ok()

@@ -6,17 +6,12 @@ import types
 import z2ucodes
 
 PUBLIC_NAMES = [
-    "BinPoly",
     "BinaryCode",
     "CodeSet",
     "CodeSpec",
     "CodeType",
     "DualReport",
     "Factorization",
-    "MINUS_INF",
-    "RElem",
-    "RPoly",
-    "bar_reduce",
     "cardinality_formula",
     "check_dual_constacyclic",
     "count_codes_census",
@@ -39,6 +34,9 @@ PUBLIC_NAMES = [
     "parse_poly",
     "poly_divmod",
     "poly_gcd",
+    "poly_mul",
+    "poly_pow",
+    "poly_text",
     "puncture_x",
     "puncture_y",
     "reciprocal",

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from z2ucodes.gf2poly import ZERO, parse_poly
+from z2ucodes.gf2poly import parse_poly
 from z2ucodes.codewords import BudgetExceededError, CodeSpec, closure_of_spec
 from z2ucodes import report
 from z2ucodes.cli import search_doc
@@ -19,7 +19,7 @@ def _rows_by_check(doc):
 
 class TestVerifyReport:
     def test_separable_spec_all_green(self):
-        spec = CodeSpec(2, 3, 1, P("1+x"), ZERO, P("1+x"))
+        spec = CodeSpec(2, 3, 1, P("1+x"), 0, P("1+x"))
         doc = verify_report(spec)
         rows = _rows_by_check(doc)
         assert rows["separable dual formula reproduces the brute-force dual"]["status"] == "pass"
@@ -45,7 +45,7 @@ class TestVerifyReport:
         assert len(doc["rows"]) == 2
 
     def test_case3_degree_formula_finding_is_recorded(self):
-        spec = CodeSpec(2, 6, 3, P("1+x^2"), ZERO, P("1+x^2+x^4"), P("1+x+x^2"))
+        spec = CodeSpec(2, 6, 3, P("1+x^2"), 0, P("1+x^2+x^4"), P("1+x+x^2"))
         doc = verify_report(spec)
         row = _rows_by_check(doc)["dual degree formulas vs recovered generators"]
         assert row["status"] == "finding"
@@ -93,7 +93,7 @@ class TestVerifyReport:
         assert row["detail"] == "200 random pairs, both layouts"
 
     def test_renderers_are_pure(self):
-        spec = CodeSpec(1, 1, 2, P("1+x"), ZERO, P("1"))
+        spec = CodeSpec(1, 1, 2, P("1+x"), 0, P("1"))
         doc = verify_report(spec, seed=5)
         assert render_text(doc) == render_text(verify_report(spec, seed=5))
         assert render_json(doc) == render_json(verify_report(spec, seed=5))
@@ -104,9 +104,9 @@ DATA = Path(__file__).parent / "data"
 GOLDEN_VERIFY = {
     "verify_worked_2_3.txt": CodeSpec(2, 3, 1, P("1+x^2"), P("1+x"), P("1+x")),
     # its interleaved Gray image is not double cyclic
-    "verify_case1_3_3.txt": CodeSpec(3, 3, 1, P("1"), ZERO, P("1+x+x^2")),
+    "verify_case1_3_3.txt": CodeSpec(3, 3, 1, P("1"), 0, P("1+x+x^2")),
     # the full ambient code: 2^21 words
-    "verify_full_7_7.txt": CodeSpec(7, 7, 1, P("1"), ZERO, P("1")),
+    "verify_full_7_7.txt": CodeSpec(7, 7, 1, P("1"), 0, P("1")),
 }
 
 

@@ -2,28 +2,25 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from z2ucodes.gf2poly import BinPoly, parse_poly
+from z2ucodes.gf2poly import parse_poly, poly_mod, poly_mul, x_pow_n_minus_1
 from z2ucodes.codewords import ambient_word
-from z2ucodes.ringr import (
-    RELEMS,
-    R_ONE,
-    R_ONE_U,
-    R_U,
-    R_ZERO,
-    RElem,
-    RPoly,
-    bar_reduce,
-    mu_map,
-    reduce_mod_xn_minus_1,
-    rpoly_mul_mod,
-)
+from z2ucodes.ringr import mu_map, reduce_rpoly, rpoly_mul_mod
 
+import referee
+from referee import RELEMS, R_ONE, R_ONE_U, R_U, R_ZERO, BinPoly, RElem, RPoly, rpoly
 from referee import rpoly_mul_mod_cyclic
 
 
 def RP(p, q="0"):
-    return RPoly(parse_poly(p), parse_poly(q))
+    """The (p, q) pair of p(x) + u*q(x), from text."""
+    return parse_poly(p), parse_poly(q)
+
+
+def add(a, b):
+    return a[0] ^ b[0], a[1] ^ b[1]
 
 
 class TestRElem:
@@ -51,16 +48,16 @@ class TestRElem:
 class TestRPolyMulMod:
     def test_wraparound_constant(self):
         for beta in (1, 2, 3, 4, 7):
-            x = RPoly(BinPoly(2))
-            top = RPoly(BinPoly(1 << (beta - 1)))
-            assert rpoly_mul_mod(x, top, beta) == RPoly(BinPoly(1), BinPoly(1))
+            x = (2, 0)
+            top = (1 << (beta - 1), 0)
+            assert rpoly_mul_mod(x, top, beta) == (1, 1)
 
     def test_identity(self):
         rng = random.Random(2)
         for _ in range(100):
             beta = rng.randint(1, 6)
-            b = RPoly(BinPoly(rng.getrandbits(beta)), BinPoly(rng.getrandbits(beta)))
-            assert rpoly_mul_mod(RPoly(BinPoly(1)), b, beta) == b
+            b = (rng.getrandbits(beta), rng.getrandbits(beta))
+            assert rpoly_mul_mod((1, 0), b, beta) == b
 
     def test_worked_example_beta3(self):
         got = rpoly_mul_mod(RP("x^2", "x"), RP("x^2"), 3)
@@ -76,15 +73,15 @@ class TestRPolyMulMod:
             beta = rng.randint(1, 5)
 
             def rnd():
-                return RPoly(BinPoly(rng.getrandbits(beta)), BinPoly(rng.getrandbits(beta)))
+                return (rng.getrandbits(beta), rng.getrandbits(beta))
 
             a, b, c = rnd(), rnd(), rnd()
             assert rpoly_mul_mod(a, b, beta) == rpoly_mul_mod(b, a, beta)
             assert rpoly_mul_mod(rpoly_mul_mod(a, b, beta), c, beta) == rpoly_mul_mod(
                 a, rpoly_mul_mod(b, c, beta), beta
             )
-            assert rpoly_mul_mod(a, b + c, beta) == rpoly_mul_mod(a, b, beta) + rpoly_mul_mod(
-                a, c, beta
+            assert rpoly_mul_mod(a, add(b, c), beta) == add(
+                rpoly_mul_mod(a, b, beta), rpoly_mul_mod(a, c, beta)
             )
 
     def test_beta_fold_applications_of_x_give_unit(self):
@@ -92,26 +89,72 @@ class TestRPolyMulMod:
         rng = random.Random(11)
         for _ in range(100):
             beta = rng.randint(1, 6)
-            b = RPoly(BinPoly(rng.getrandbits(beta)), BinPoly(rng.getrandbits(beta)))
+            b = (rng.getrandbits(beta), rng.getrandbits(beta))
             acc = b
             for _ in range(beta):
-                acc = rpoly_mul_mod(RPoly(BinPoly(2)), acc, beta)
-            assert acc == b * RPoly(BinPoly(1), BinPoly(1))
+                acc = rpoly_mul_mod((2, 0), acc, beta)
+            assert rpoly(acc) == rpoly(b) * RPoly(BinPoly(1), BinPoly(1))
+
+
+# Cross-checks of the (p, q) pair arithmetic against the referee's RPoly.
+@st.composite
+def rpoly_pairs(draw, width):
+    """beta and two (p, q) pairs with p and q below x^(width * beta)."""
+    beta = draw(st.integers(1, 7))
+    part = st.integers(0, (1 << (width * beta)) - 1)
+    return beta, (draw(part), draw(part)), (draw(part), draw(part))
+
+
+@settings(deadline=None, max_examples=50)
+@given(rpoly_pairs(1))
+def test_rpoly_mul_mod_matches_the_referee(inputs):
+    beta, a, b = inputs
+    assert rpoly_mul_mod(a, b, beta) == referee.rpoly_mul_mod(rpoly(a), rpoly(b), beta).pair()
+
+
+@settings(deadline=None, max_examples=50)
+@given(rpoly_pairs(3))
+def test_reduce_rpoly_matches_the_referee(inputs):
+    # Reducing a product equals reducing its factors first, in the referee.
+    beta, a, b = inputs
+    product = (rpoly(a) * rpoly(b)).pair()
+    assert reduce_rpoly(product, beta) == referee.rpoly_mul_mod(rpoly(a), rpoly(b), beta).pair()
+
+
+@settings(deadline=None, max_examples=50)
+@given(rpoly_pairs(2), st.integers(0, (1 << 12) - 1), st.integers(1, 6))
+def test_mu_map_matches_the_referee(inputs, a, alpha):
+    # mu multiplies the coefficient at x^k by (1+u)^k, after folding modulo x^beta - 1.
+    beta, b, _ = inputs
+    beta |= 1
+    b_obj = rpoly_mul_mod_cyclic(rpoly(b), RPoly(BinPoly(1)), beta)
+    expected, scale = RPoly(), RPoly(BinPoly(1))
+    for k in range(beta):
+        term = b_obj.coeff(k)
+        expected = expected + RPoly(BinPoly(term.p << k), BinPoly(term.q << k)) * scale
+        scale = scale * RPoly(BinPoly(1), BinPoly(1))
+    first = (BinPoly(a) % BinPoly(x_pow_n_minus_1(alpha))).bits
+    assert mu_map(a, b, alpha, beta) == (first, expected.pair())
 
 
 class TestBarReduce:
     def test_definition(self):
-        assert bar_reduce(RP("1+x", "x^2")) == parse_poly("1+x")
-        assert bar_reduce(RP("0", "x^2")) == parse_poly("0")
-        assert bar_reduce(RP("1+x", "1+x")) == parse_poly("1+x")
+        # Reduction modulo u keeps the p part of an R[x] element.
+        assert RP("1+x", "x^2")[0] == parse_poly("1+x")
+        assert RP("0", "x^2")[0] == parse_poly("0")
+        assert RP("1+x", "1+x")[0] == parse_poly("1+x")
 
     def test_ring_homomorphism(self):
+        # The p part of a product in R[x]/(x^beta - 1 - u) is the product
+        # of the p parts in F2[x]/(x^beta - 1).
         rng = random.Random(13)
         for _ in range(200):
-            a = RPoly(BinPoly(rng.getrandbits(5)), BinPoly(rng.getrandbits(5)))
-            b = RPoly(BinPoly(rng.getrandbits(5)), BinPoly(rng.getrandbits(5)))
-            assert bar_reduce(a * b) == bar_reduce(a) * bar_reduce(b)
-            assert bar_reduce(a + b) == bar_reduce(a) + bar_reduce(b)
+            beta = rng.randint(1, 5)
+            a = (rng.getrandbits(5), rng.getrandbits(5))
+            b = (rng.getrandbits(5), rng.getrandbits(5))
+            xb = x_pow_n_minus_1(beta)
+            assert rpoly_mul_mod(a, b, beta)[0] == poly_mod(poly_mul(a[0], b[0]), xb)
+            assert add(a, b)[0] == a[0] ^ b[0]
 
 
 class TestMuMap:
@@ -127,16 +170,12 @@ class TestMuMap:
 
     @pytest.mark.parametrize("beta", [1, 3])
     def test_ring_isomorphism_exhaustive(self, beta):
-        elems = [
-            RPoly(BinPoly(p), BinPoly(q))
-            for p in range(1 << beta)
-            for q in range(1 << beta)
-        ]
+        elems = [(p, q) for p in range(1 << beta) for q in range(1 << beta)]
         images = {}
         for b in elems:
             _, m = mu_map(parse_poly("1"), b, 1, beta)
-            images[(b.p.bits, b.q.bits)] = m
-        assert len({(m.p.bits, m.q.bits) for m in images.values()}) == len(elems)
+            images[b] = m
+        assert len(set(images.values())) == len(elems)
         rng = random.Random(17)
         pairs = (
             list(itertools.product(elems, repeat=2))
@@ -144,14 +183,11 @@ class TestMuMap:
             else [(rng.choice(elems), rng.choice(elems)) for _ in range(500)]
         )
         for b1, b2 in pairs:
-            prod = rpoly_mul_mod_cyclic(b1, b2, beta)
-            lhs = images[(prod.p.bits, prod.q.bits)]
-            rhs = rpoly_mul_mod(images[(b1.p.bits, b1.q.bits)], images[(b2.p.bits, b2.q.bits)], beta)
+            prod = rpoly_mul_mod_cyclic(rpoly(b1), rpoly(b2), beta).pair()
+            lhs = images[prod]
+            rhs = rpoly_mul_mod(images[b1], images[b2], beta)
             assert lhs == rhs
-            s = b1 + b2
-            assert images[(s.p.bits, s.q.bits)] == images[(b1.p.bits, b1.q.bits)] + images[
-                (b2.p.bits, b2.q.bits)
-            ]
+            assert images[add(b1, b2)] == add(images[b1], images[b2])
 
 
 class TestAmbient:
@@ -165,20 +201,7 @@ class TestAmbient:
 
 
 class TestGrammar:
-    def test_str_table(self):
-        # (p, q) -> the text of p(x) + u*q(x)
-        table = [
-            ("0", "0", "0"),
-            ("1", "0", "1"),
-            ("0", "1", "u"),
-            ("1", "1", "(1+u)"),
-            ("1+x^2", "1+x", "(1+u)+u*x+x^2"),
-            ("0", "x^3", "u*x^3"),
-            ("1+x", "x", "1+(1+u)*x"),
-        ]
-        for p, q, text in table:
-            assert str(RP(p, q)) == text
-
     def test_cyclic_reduce(self):
-        assert reduce_mod_xn_minus_1(parse_poly("x^3"), 2) == parse_poly("x")
-        assert reduce_mod_xn_minus_1(parse_poly("1+x^4"), 2) == parse_poly("0")
+        # Reduction modulo x^n - 1 is the one modular reduction, poly_mod.
+        assert poly_mod(parse_poly("x^3"), x_pow_n_minus_1(2)) == parse_poly("x")
+        assert poly_mod(parse_poly("1+x^4"), x_pow_n_minus_1(2)) == parse_poly("0")

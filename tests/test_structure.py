@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from z2ucodes.gf2poly import ZERO, BinPoly, parse_poly
+from z2ucodes.gf2poly import parse_poly, poly_mul
 from z2ucodes.codewords import (
+    CENSUS_BUDGET,
     CodeSet,
     CodeSpec,
     basis_insert,
@@ -36,6 +37,12 @@ def P(text):
     return parse_poly(text)
 
 
+def ambient(alpha, beta):
+    """The whole ambient as a fully reduced RREF basis: its n unit vectors,
+    the space the census helpers walk for the whole-ambient referee."""
+    return tuple(1 << i for i in reversed(range(alpha + 2 * beta)))
+
+
 WORKED = CodeSpec(2, 3, 1, P("1+x^2"), P("1+x"), P("1+x"))
 
 
@@ -54,12 +61,12 @@ class TestPunctures:
         assert len(puncture_y(zero)) == 1
 
     def test_second_only_code(self):
-        spec = CodeSpec(2, 3, 2, P("1+x^2"), ZERO, P("1+x"))
+        spec = CodeSpec(2, 3, 2, P("1+x^2"), 0, P("1+x"))
         code = closure_of_spec(spec)
         assert len(puncture_x(code)) == 1
 
     def test_case2_cb_is_whole_code(self):
-        spec = CodeSpec(2, 3, 2, P("1+x^2"), ZERO, P("1+x"))
+        spec = CodeSpec(2, 3, 2, P("1+x^2"), 0, P("1+x"))
         code = closure_of_spec(spec)
         assert subcode_cb(code) == code
 
@@ -82,7 +89,7 @@ def test_cyclic_code_matches_rotations_of_the_generator(n):
             vectors.append(word)
             word = ((word << 1) & mask) | (word >> (n - 1))
         expected = CodeSet.from_basis(n, 0, vectors)
-        assert cyclic_code_from_generator(BinPoly(bits), n) == expected, bits
+        assert cyclic_code_from_generator(bits, n) == expected, bits
 
 
 class TestTypes:
@@ -95,14 +102,14 @@ class TestTypes:
         assert type_from_enumeration(closure_of_spec(WORKED)) == type_from_formulas(WORKED)
 
     def test_case2_separable_splits(self):
-        spec = CodeSpec(3, 3, 2, P("1+x"), ZERO, P("1+x"))
+        spec = CodeSpec(3, 3, 2, P("1+x"), 0, P("1+x"))
         t = type_from_formulas(spec)
         assert t.k0 == t.k0p == 3 - 1
         assert t.k0pp == 0 and t.k2 == 0
         assert t == type_from_enumeration(closure_of_spec(spec))
 
     def test_case3_f_equals_g(self):
-        spec = CodeSpec(2, 3, 3, P("1+x^2"), ZERO, P("1+x"), P("1+x"))
+        spec = CodeSpec(2, 3, 3, P("1+x^2"), 0, P("1+x"), P("1+x"))
         t = type_from_formulas(spec)
         assert t.k1 == 2 - 2  # alpha - deg a when f = g
         assert t.k2 == 3 - 1
@@ -301,7 +308,7 @@ def census_by_joining_minimal_missing(alpha, beta, budget=1 << 18):
     """Reference census: join every known module with each of its minimal
     missing join-irreducibles, from the zero module up, computing every
     join even when another module already made the same one."""
-    irreducible = structure._join_irreducibles(alpha, beta, budget)
+    irreducible = structure._join_irreducibles(alpha, beta, budget, ambient(alpha, beta))
     below = [
         sum(
             1 << k
@@ -374,7 +381,7 @@ def join_irreducibles_by_containment(alpha, beta):
 
 @pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS + [(2, 4), (4, 4), (5, 5)])
 def test_join_irreducibles_match_the_containment_filter(alpha, beta):
-    found = structure._join_irreducibles(alpha, beta)
+    found = structure._join_irreducibles(alpha, beta, CENSUS_BUDGET, ambient(alpha, beta))
     assert found == join_irreducibles_by_containment(alpha, beta)
 
 
@@ -391,7 +398,7 @@ def test_join_irreducibles_from_word_sets(alpha, beta):
         for c in cyclic
         if spanned_words(set().union(*(d for d in cyclic if d < c))) != c
     }
-    found = structure._join_irreducibles(alpha, beta)
+    found = structure._join_irreducibles(alpha, beta, CENSUS_BUDGET, ambient(alpha, beta))
     for w, basis in found:
         assert closed_word_set([w], alpha, beta) == spanned_words(basis)
     assert {frozenset(spanned_words(basis)) for _, basis in found} == expected
@@ -420,14 +427,15 @@ def test_generator_counts_match_the_orbit_walk(alpha, beta):
     # Marking each closed word's unit coset finds the same submodules, in
     # the same order, with the same least word and the same number of
     # generators as adding up shift orbits.
-    found = structure._cyclic_submodules(alpha, beta, 1 << 18)
+    found = structure._cyclic_submodules(alpha, beta, 1 << 18, ambient(alpha, beta))
     assert list(found.items()) == list(cyclic_submodules(alpha, beta).items())
 
 
 def whole_ambient_census(alpha, beta, budget=1 << 18):
     """The census walk on the whole ambient, given by its n unit vectors:
     the helpers of count_codes_census on one space of 2^n marks."""
-    return structure._count_joins(structure._join_irreducibles(alpha, beta, budget))
+    irreducible = structure._join_irreducibles(alpha, beta, budget, ambient(alpha, beta))
+    return structure._count_joins(irreducible)
 
 
 def closures_made(alpha, beta, monkeypatch, census=whole_ambient_census):
@@ -534,14 +542,16 @@ def test_component_walk_matches_the_whole_ambient(alpha, beta):
     # the whole-ambient walk that lie in that component, in the same order,
     # with the same least word and the same number of generators.  Every
     # join-irreducible lies in one component.
-    whole = structure._cyclic_submodules(alpha, beta, 1 << 18)
+    whole = structure._cyclic_submodules(alpha, beta, 1 << 18, ambient(alpha, beta))
     irreducible = set()
     for space in structure._primary_components(alpha, beta):
         inside = [item for item in whole.items() if reduce_against(item[1][0], space) == 0]
         walked = structure._cyclic_submodules(alpha, beta, 1 << 18, space)
         assert list(walked.items()) == inside
         irreducible |= set(structure._join_irreducibles(alpha, beta, 1 << 18, space))
-    assert irreducible == set(structure._join_irreducibles(alpha, beta, 1 << 18))
+    assert irreducible == set(
+        structure._join_irreducibles(alpha, beta, 1 << 18, ambient(alpha, beta))
+    )
 
 
 @pytest.mark.parametrize("alpha, beta", [(9, 9), (5, 15), (15, 5), (15, 15)])
@@ -589,16 +599,14 @@ class TestPuncturedSizeIdentities:
 
 class TestCbGenerators:
     def test_case1_cb_equals_three_generator_closure(self):
-        from z2ucodes.gf2poly import ZERO
-        from z2ucodes.ringr import RP_U, RPoly
         from z2ucodes.codewords import ambient_word, enumerate_closure
 
         for alpha, beta in ((2, 3), (3, 3)):
             for spec in iter_valid_specs(alpha, beta, cases=(1,)):
                 code = closure_of_spec(spec)
                 gens = [
-                    ambient_word(spec.a, RPoly(), alpha, beta),
-                    ambient_word(spec.l * spec.h(), RP_U, alpha, beta),
-                    ambient_word(ZERO, RPoly(ZERO, spec.g), alpha, beta),
+                    ambient_word(spec.a, (0, 0), alpha, beta),
+                    ambient_word(poly_mul(spec.l, spec.h()), (0, 1), alpha, beta),
+                    ambient_word(0, (0, spec.g), alpha, beta),
                 ]
                 assert enumerate_closure(gens, alpha, beta) == subcode_cb(code), spec

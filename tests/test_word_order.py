@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2ucodes.gf2poly import ONE, ZERO
 from z2ucodes.codewords import (
     CodeSet,
     CodeSpec,
@@ -102,7 +101,7 @@ def test_min_distance_matches_lee_weights_of_the_span(drawn):
 
 
 def test_full_code_scans_take_the_ascending_path(monkeypatch):
-    full = closure_of_spec(CodeSpec(7, 7, 1, ONE, ZERO, ONE))
+    full = closure_of_spec(CodeSpec(7, 7, 1, 1, 0, 1))
     assert full.rank == 21
 
     def refuse(*args, **kwargs):
