@@ -587,6 +587,52 @@ def spanning_span(elements: Sequence[SpanningElement], alpha: int, beta: int) ->
     return CodeSet.from_basis(alpha, beta, vectors)
 
 
+def spanning_minimal(elements: Sequence[SpanningElement], alpha: int, beta: int) -> bool:
+    """Whether leaving out any one element of the marked family shrinks
+    its span.
+
+    One elimination finds the relations among the family's GF(2)
+    vectors (each element's word and, for an R-scalar element, its
+    u-multiple, as in :func:`spanning_span`): each vector is reduced
+    against the rows kept before it, tagged with the set of vectors it
+    is the sum of, and a vector that reduces to 0 leaves its tag as a
+    relation.  These tags span the relations K.  An element is redundant
+    exactly when each of its vectors is a sum of vectors of the other
+    elements, that is when K holds, for each of its 1 or 2 vectors, a
+    relation with that vector and not its other one: when K projected on
+    the element's vectors has full rank.
+    """
+    rows: dict[int, tuple[int, int]] = {}
+    relations: list[int] = []
+    masks: list[int] = []
+    j = 0
+    for el in elements:
+        vectors = [el.packed]
+        if el.multiples == 4:
+            vectors.append(umul_packed(el.packed, alpha, beta))
+        masks.append(((1 << len(vectors)) - 1) << j)
+        for v in vectors:
+            tag = 1 << j
+            j += 1
+            while v:
+                lead = v.bit_length() - 1
+                if lead not in rows:
+                    rows[lead] = (v, tag)
+                    break
+                w, t = rows[lead]
+                v ^= w
+                tag ^= t
+            else:
+                relations.append(tag)
+    for mask in masks:
+        projected: list[int] = []
+        for r in relations:
+            basis_insert(projected, r & mask)
+        if len(projected) == mask.bit_count():
+            return False
+    return True
+
+
 def cardinality_formula(spec: CodeSpec) -> int:
     """The case-appropriate closed-form codeword count."""
     t1 = 0 if not spec.a else spec.a.bit_length() - 1

@@ -24,6 +24,7 @@ from .codewords import (
     enumerate_closure,
     is_constacyclic,
     shift_packed,
+    spanning_minimal,
     spanning_set,
     spanning_span,
     validate_spec,
@@ -150,12 +151,7 @@ def _spanning_checks(rows: _Rows, spec: CodeSpec, code: CodeSet) -> None:
     for el in elements:
         product *= el.multiples
     rows.compare("spanning-set multiple count", 1 << code.rank, product)
-    minimal = True
-    for skip in range(len(elements)):
-        reduced = [el for i, el in enumerate(elements) if i != skip]
-        if spanning_span(reduced, spec.alpha, spec.beta).rank >= span.rank:
-            minimal = False
-            break
+    minimal = spanning_minimal(elements, spec.alpha, spec.beta)
     rows.add(
         "spanning-set minimality",
         "pass" if minimal else "finding",

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .gf2poly import (
     cyclotomic_class_count,
     factor,
+    poly_divmod,
     poly_gcd,
     poly_mod,
     poly_mul,
@@ -31,12 +32,12 @@ from .codewords import (
     basis_insert,
     check_budget,
     closure_basis,
-    null_space,
     reduce_against,
     require_valid,
     shift_packed,
     umul_packed,
 )
+from .ringr import reduce_rpoly
 
 
 @dataclass(frozen=True)
@@ -170,47 +171,33 @@ def count_codes_formula(alpha: int, beta: int) -> int:
 
 
 def _primary_components(alpha: int, beta: int) -> list[tuple[int, ...]]:
-    """The f-primary components V_f = ker f(S)^e of the ambient, as fully
-    reduced RREF bases, in ascending order of f.
+    """The f-primary components V_f of the ambient, as fully reduced RREF
+    bases, in ascending order of f.
 
-    f runs over the irreducible factors of x^alpha - 1 and x^beta - 1,
-    and e is the larger of f's multiplicity in x^alpha - 1 and twice its
-    multiplicity in x^beta - 1.  The shift S is annihilated by x^alpha - 1
-    on the binary block and by (x^beta - 1)^2 on the R block
-    (x^beta = 1 + u, u^2 = 0), so its minimal polynomial divides the
-    product of the f^e, and the ambient is the direct sum of the V_f
-    (primary decomposition over the PID F2[x]; Jacobson, *Basic Algebra
-    I*, ch. 3).  f^e(S) is applied to the unit vectors by shift iterates,
-    and V_f is the null space of the rows of that matrix.
+    f runs over the irreducible factors of x^alpha - 1 and x^beta - 1.
+    As an F2[x]-module, with x acting as the shift, the binary block is
+    F2[x]/(x^alpha - 1) and the R block is F2[x]/((x^beta - 1)^2), since
+    x^beta = 1 + u and u^2 = 0.  For a modulus m = f^e k with f prime to
+    k, the f-primary part of F2[x]/(m) is k F2[x]/(m).  So V_f is the
+    F2[x]-span of ((x^alpha - 1)/f^s, 0) when f^s is the power of f in
+    x^alpha - 1, and of (0, h^2) with h = (x^beta - 1)/f^t when f^t is
+    the power of f in x^beta - 1.  That span is their closure: u maps the
+    binary block to 0 and acts on the R block as x^beta - 1.  The ambient
+    is the direct sum of the V_f (primary decomposition over the PID
+    F2[x]; Jacobson, *Basic Algebra I*, ch. 3).
     """
-    nbits = alpha + 2 * beta
-    exponent: dict[int, int] = {}
+    generators: dict[int, list[int]] = {}
     if alpha:
-        for f, mult in factor(x_pow_n_minus_1(alpha)):
-            exponent[f] = mult
+        xa = x_pow_n_minus_1(alpha)
+        for f, s in factor(xa):
+            generators[f] = [poly_divmod(xa, poly_pow(f, s))[0]]
     if beta:
-        for f, mult in factor(x_pow_n_minus_1(beta)):
-            exponent[f] = max(exponent.get(f, 0), 2 * mult)
-    powers = [poly_pow(f, exponent[f]) for f in sorted(exponent)]
-    # vectors[j] is S^k applied to 1 << j, and images[c][j] sums these
-    # over the set bits k of component c's f^e: one pass of shifts serves
-    # every component.
-    images = [[0] * nbits for _ in powers]
-    vectors = [1 << j for j in range(nbits)]
-    for k in range(max(powers, default=0).bit_length()):
-        for power, image in zip(powers, images):
-            if power >> k & 1:
-                image[:] = [m ^ v for m, v in zip(image, vectors)]
-        vectors = [shift_packed(v, alpha, beta) for v in vectors]
-    components = []
-    for image in images:
-        # Row i holds bit i of every column j at bit j: the transpose, read
-        # off the columns' binary texts, last column first.
-        rows: list[int] = []
-        for bits in zip(*(format(m, f"0{nbits}b") for m in reversed(image))):
-            basis_insert(rows, int("".join(bits), 2))
-        components.append(CodeSet.from_basis(alpha, beta, null_space(rows, nbits)).basis)
-    return components
+        xb = x_pow_n_minus_1(beta)
+        for f, t in factor(xb):
+            h = poly_divmod(xb, poly_pow(f, t))[0]
+            p, q = reduce_rpoly((poly_mul(h, h), 0), beta)
+            generators.setdefault(f, []).append(p << alpha | q << (alpha + beta))
+    return [closure_basis(generators[f], alpha, beta) for f in sorted(generators)]
 
 
 def _cyclic_submodules(

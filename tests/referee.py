@@ -23,6 +23,11 @@ and ``RPoly`` (p + u*q over them).  ``is_irreducible``, ``expand``,
 ``rpoly_mul_mod`` and ``rpoly_mul_mod_cyclic`` are polynomial oracles
 built on them, and ``word_texts`` the text and order of words written
 with one ``RElem`` per symbol.
+
+Two linear-algebra referees recompute what the package finds by a
+shorter argument: ``primary_components_by_kernel`` takes each primary
+component as the kernel of f^e(S), and ``spanning_minimal_by_removal``
+rebuilds the span of a spanning set once per element left out.
 """
 
 from dataclasses import dataclass
@@ -30,8 +35,16 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from z2ucodes.codewords import CodeSet, basis_insert, check_word_width
+from z2ucodes.codewords import (
+    CodeSet,
+    basis_insert,
+    check_word_width,
+    null_space,
+    shift_packed,
+    spanning_span,
+)
 from z2ucodes.duality import _orthogonality_rows
+from z2ucodes.gf2poly import factor, poly_pow, x_pow_n_minus_1
 from z2ucodes.gray import gray_block_packed
 
 # ---------------------------------------------------------------------------
@@ -491,3 +504,55 @@ def word_texts(words, alpha: int, beta: int) -> list[str]:
         text = "".join(map(str, bits)) + "|" + ",".join(map(str, symbols))
         rows.append((bits, [ORDER[e] for e in symbols], text))
     return [text for _, _, text in sorted(rows)]
+
+
+# ---------------------------------------------------------------------------
+# linear-algebra referees
+
+
+def primary_components_by_kernel(alpha: int, beta: int) -> list[tuple[int, ...]]:
+    """Referee of ``structure._primary_components``: each V_f as the
+    kernel of f^e(S), with S the shift and e the larger of f's
+    multiplicity in x^alpha - 1 and twice its multiplicity in
+    x^beta - 1, since S is annihilated by x^alpha - 1 on the binary
+    block and by (x^beta - 1)^2 on the R block."""
+    nbits = alpha + 2 * beta
+    exponent: dict[int, int] = {}
+    if alpha:
+        for f, mult in factor(x_pow_n_minus_1(alpha)):
+            exponent[f] = mult
+    if beta:
+        for f, mult in factor(x_pow_n_minus_1(beta)):
+            exponent[f] = max(exponent.get(f, 0), 2 * mult)
+    powers = [poly_pow(f, exponent[f]) for f in sorted(exponent)]
+    # vectors[j] is S^k applied to 1 << j, and images[c][j] sums these
+    # over the set bits k of component c's f^e: one pass of shifts serves
+    # every component.
+    images = [[0] * nbits for _ in powers]
+    vectors = [1 << j for j in range(nbits)]
+    for k in range(max(powers, default=0).bit_length()):
+        for power, image in zip(powers, images):
+            if power >> k & 1:
+                image[:] = [m ^ v for m, v in zip(image, vectors)]
+        vectors = [shift_packed(v, alpha, beta) for v in vectors]
+    components = []
+    for image in images:
+        # Row i holds bit i of every column j at bit j: the transpose, read
+        # off the columns' binary texts, last column first.
+        rows: list[int] = []
+        for bits in zip(*(format(m, f"0{nbits}b") for m in reversed(image))):
+            basis_insert(rows, int("".join(bits), 2))
+        components.append(CodeSet.from_basis(alpha, beta, null_space(rows, nbits)).basis)
+    return components
+
+
+def spanning_minimal_by_removal(elements, alpha: int, beta: int) -> bool:
+    """Referee of ``codewords.spanning_minimal``: whether leaving out any one
+    element of the family shrinks its span, by rebuilding the span of
+    the family less each element in turn."""
+    rank = spanning_span(elements, alpha, beta).rank
+    for skip in range(len(elements)):
+        reduced = [el for i, el in enumerate(elements) if i != skip]
+        if spanning_span(reduced, alpha, beta).rank >= rank:
+            return False
+    return True

@@ -1,9 +1,9 @@
-import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,8 +39,8 @@ def spec_file(tmp_path):
 def run_cli(capsys, *argv):
     try:
         code = main(list(argv))
-    except SystemExit as exc:  # argparse rejects option values this way
-        code = exc.code
+    except SystemExit as exc:
+        pytest.fail(f"main raised SystemExit({exc.code!r}) for {list(argv)}")
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -94,7 +94,7 @@ class TestSpecCommands:
         spec = CodeSpec(21, 21, 1, 1, 0, 1)
         code = CodeSet(21, 21, closure_basis(spec.generators(), 21, 21))
         assert code.rank == 63
-        doc = cli._construct(argparse.Namespace(emit_words=False), spec, code)
+        doc = cli._construct(SimpleNamespace(emit_words=False), spec, code)
         assert doc["size"] == 1 << 63 and doc["log2_size"] == 63
         assert doc["formula_matches"] is True
         assert repr(code) == f"<CodeSet alpha=21 beta=21 size={1 << 63}>"
@@ -335,14 +335,11 @@ COMMAND_OPTIONS = {
 
 
 def test_each_command_takes_exactly_its_options():
-    actions = cli.build_parser()._actions
-    commands = next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
-    assert list(commands) == list(COMMAND_OPTIONS)
-    for name, parser in commands.items():
-        flags = [f for a in parser._actions for f in a.option_strings if f not in ("-h", "--help")]
-        assert flags == COMMAND_OPTIONS[name], name
+    assert list(cli.COMMANDS) == list(COMMAND_OPTIONS)
+    for name, (_, _, options) in cli.COMMANDS.items():
+        assert list(options) == COMMAND_OPTIONS[name], name
         budget = {"factor": None, "census": CENSUS_BUDGET}.get(name, DEFAULT_BUDGET)
-        assert parser.get_default("budget") == budget, name
+        assert options.get("--budget", {}).get("default") == budget, name
 
 
 @pytest.mark.parametrize("option", ["--seed", "--budget"])
@@ -467,8 +464,7 @@ def test_verify_runs_without_numpy(spec_file):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
-def test_one_parser_serves_every_call(capsys, spec_file):
-    # Calls in one process, sharing the parser, print what a fresh parser does.
+def test_repeated_calls_print_what_the_first_call_printed(capsys, spec_file):
     argvs = [
         ["construct", "--spec", spec_file, "--emit-words"],
         ["construct", "--spec", spec_file],
@@ -481,10 +477,96 @@ def test_one_parser_serves_every_call(capsys, spec_file):
         ["census", "--alpha", "2", "--beta", "1"],
         ["factor", "--n", "7", "--format", "json"],
         ["factor", "--n", "7"],
+        ["census", "--alpha", "2"],
+        ["census", "--help"],
     ]
-    cli._parser.cache_clear()
-    shared = [run_cli(capsys, *argv) for argv in argvs]
-    assert cli._parser.cache_info().misses == 1
-    for argv, result in zip(argvs, shared):
-        cli._parser.cache_clear()
-        assert run_cli(capsys, *argv) == result, argv
+    first = [run_cli(capsys, *argv) for argv in argvs]
+    assert [run_cli(capsys, *argv) for argv in argvs] == first
+
+
+COMMANDS = "'factor', 'construct', 'params', 'dual', 'gray', 'verify', 'census', 'search'"
+CENSUS = ["census", "--alpha", "1", "--beta", "1"]
+USAGE_ERRORS = {
+    "no-command": ([], "the following arguments are required: command"),
+    "unknown-command": (["foo"], f"argument command: invalid choice: 'foo' (choose from {COMMANDS})"),
+    "unknown-option": (
+        ["factor", "--n", "7", "--seed", "3"],
+        "unrecognized arguments: --seed 3",
+    ),
+    "missing-required": (["census", "--alpha", "1"], "the following arguments are required: --beta"),
+    "bad-choice": (
+        [*CENSUS, "--format", "xml"],
+        "argument --format: invalid choice: 'xml' (choose from 'text', 'json')",
+    ),
+    "non-int": (["census", "--alpha", "x", "--beta", "1"], "argument --alpha: invalid int value: 'x'"),
+    "non-int-seed": (
+        ["verify", "--spec", "s", "--seed", "1.5"],
+        "argument --seed: invalid int value: '1.5'",
+    ),
+    "below-one": (["census", "--alpha", "0", "--beta", "1"], "argument --alpha: must be >= 1, got 0"),
+    "missing-value": (["census", "--alpha", "1", "--beta"], "argument --beta: expected one argument"),
+    "option-as-value": (
+        ["census", "--alpha", "--beta", "1"],
+        "argument --alpha: expected one argument",
+    ),
+    "ambiguous": (["census", "--b", "1"], "ambiguous option: --b could match --beta, --budget"),
+    "double-dash-value": (
+        ["census", "--alpha=--", "--beta", "1"],
+        "argument --alpha: invalid int value: '--'",
+    ),
+    "value-on-a-flag": (
+        ["construct", "--spec", "s", "--emit-words=yes"],
+        "argument --emit-words: ignored explicit argument 'yes'",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_errors_print_one_error_line_and_exit_2(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "short",
+    [
+        ["census", "--alp", "1", "--bet=3"],
+        ["census", "--alpha=1", "--beta", "3", "--format=text"],
+        ["census", "--alpha", "2", "--beta", "3", "--alpha", "1"],
+        ["census", "--beta", "3", "--alpha", "1", "--bu", "65536"],
+    ],
+    ids=["abbreviated", "equals", "last-wins", "reordered"],
+)
+def test_other_spellings_print_what_the_full_spelling_prints(capsys, short):
+    full = run_cli(capsys, "census", "--alpha", "1", "--beta", "3")
+    assert full[0] == 0
+    assert run_cli(capsys, *short) == full
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h", "census"], ["census", "--help"], ["verify", "-h"]])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert out.startswith("usage: z2ucodes ")
+    if argv[0] in cli.COMMANDS:
+        about, _, options = cli.COMMANDS[argv[0]]
+        assert about in out
+        for flag in options:
+            assert flag in out
+    else:
+        for name in cli.COMMANDS:
+            assert f"  {name}  " in out
+
+
+def test_importing_the_cli_leaves_argparse_unloaded():
+    script = "import sys\nimport z2ucodes.cli\nprint('argparse' in sys.modules)\n"
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

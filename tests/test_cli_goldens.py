@@ -1,5 +1,6 @@
 """Golden CLI corpus: the stdout of the commands whose output prints
-polynomials, compared byte for byte with the files in tests/data/cli.
+polynomials, the help texts, and the stderr and exit status of usage
+errors, compared byte for byte with the files in tests/data/cli.
 
 The files were recorded once and are committed unedited; the sweep over
 every valid spec of small lengths is kept as one SHA-256 per (alpha,
@@ -12,6 +13,7 @@ import contextlib
 import hashlib
 import io
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -32,6 +34,34 @@ VERIFY_SPECS = {
 }
 SWEEP_PAIRS = [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (1, 4), (4, 1), (2, 6)]
 SWEEP_COMMANDS = [["verify"], ["params"], ["dual"], ["gray"], ["construct", "--emit-words"]]
+COMMAND_NAMES = ["factor", "construct", "params", "dual", "gray", "verify", "census", "search"]
+HELP_ARGVS = [["--help"], *([name, "--help"] for name in COMMAND_NAMES)]
+# Every kind of usage error, and each command with none of its options.
+# No file is read: the command line is refused before any command runs.
+USAGE_ERROR_ARGVS = [
+    [],
+    ["foo"],
+    ["-x"],
+    *([name] for name in COMMAND_NAMES),
+    ["factor", "--n", "7", "--seed", "3"],
+    ["factor", "--n", "7", "--budget", "3"],
+    ["census", "--alpha", "1", "--beta", "1", "extra"],
+    ["search", "--alpha-max", "1", "--beta-max", "1", "--", "--d-min", "1"],
+    ["census", "--alpha", "1", "--beta", "1", "--format", "xml"],
+    ["gray", "--spec", "s", "--layout", "diagonal"],
+    ["census", "--alpha", "x", "--beta", "1"],
+    ["verify", "--spec", "s", "--seed", "1.5"],
+    ["search", "--alpha-max", "1", "--beta-max", "1", "--d-min", "one"],
+    ["census", "--alpha", "0", "--beta", "1"],
+    ["factor", "--n", "-3"],
+    ["census", "--alpha", "1", "--beta", "1", "--budget", "0"],
+    ["census", "--alpha", "1", "--beta"],
+    ["census", "--alpha", "--beta", "1"],
+    ["census", "--b", "1"],
+    ["construct", "--spec", "s", "--emit-words=yes"],
+    ["census", "--help=yes"],
+    ["census", "-hx"],
+]
 
 
 def stdout_of(argv: list[str]) -> str:
@@ -40,6 +70,17 @@ def stdout_of(argv: list[str]) -> str:
         status = main(argv)
     assert status == 0, argv
     return out.getvalue()
+
+
+def transcript(argvs: list[list[str]]) -> str:
+    """Each command line with its exit status, stdout and stderr."""
+    parts = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+        parts.append(f"$ z2ucodes {shlex.join(argv)}\nexit {status}\n{out.getvalue()}{err.getvalue()}")
+    return "\n".join(parts)
 
 
 def sweep_digest(alpha: int, beta: int, spec_path: Path) -> dict:
@@ -65,6 +106,8 @@ def corpus(tmp: Path) -> dict[str, str]:
         path.write_text(text)
         files[name] = stdout_of(["verify", "--spec", str(path)])
     files["sweep_sha256.json"] = json.dumps(sweep_digests(tmp), indent=2) + "\n"
+    files["help.txt"] = transcript(HELP_ARGVS)
+    files["usage_errors.txt"] = transcript(USAGE_ERROR_ARGVS)
     return files
 
 
@@ -91,6 +134,14 @@ def test_verify_text(name, tmp_path):
 
 def test_case3_golden_prints_an_fbar_row():
     assert "Gray-route prediction fbar[1+x+x^2]" in (DATA / "verify_case3_3_3.txt").read_text()
+
+
+def test_help():
+    assert transcript(HELP_ARGVS) == (DATA / "help.txt").read_text()
+
+
+def test_usage_errors():
+    assert transcript(USAGE_ERROR_ARGVS) == (DATA / "usage_errors.txt").read_text()
 
 
 def test_sweep_digests(tmp_path):

@@ -1,12 +1,29 @@
+import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from z2ucodes.gf2poly import parse_poly
-from z2ucodes.codewords import BudgetExceededError, CodeSpec, closure_of_spec
+from z2ucodes.codewords import (
+    BudgetExceededError,
+    CodeSpec,
+    SpanningElement,
+    closure_of_spec,
+    iter_valid_specs,
+    parse_spec_text,
+    spanning_minimal,
+    spanning_set,
+    umul_packed,
+)
 from z2ucodes import report
 from z2ucodes.cli import search_doc
 from z2ucodes.report import _Rows, _type_checks, render_json, render_text, verify_report
+
+from referee import spanning_minimal_by_removal
+from test_cli_goldens import SWEEP_PAIRS
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def P(text):
@@ -97,6 +114,56 @@ class TestVerifyReport:
         doc = verify_report(spec, seed=5)
         assert render_text(doc) == render_text(verify_report(spec, seed=5))
         assert render_json(doc) == render_json(verify_report(spec, seed=5))
+
+
+def bench_verify_specs(seed):
+    """The specs of the benchmark's verify round for a seed: the full
+    (7,7) code, then the seeded sample."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import checks
+        import inputs
+    finally:
+        sys.path.remove(str(BENCH))
+    specs = [inputs.FULL_SPEC, *(spec for spec, _ in inputs.sample_specs(seed, checks.rank))]
+    return [parse_spec_text(inputs.spec_text(spec)) for spec in specs]
+
+
+def test_spanning_minimality_matches_the_removal_referee_on_stated_families():
+    specs = [s for a, b in SWEEP_PAIRS for s in iter_valid_specs(a, b)]
+    bench = bench_verify_specs(1)
+    assert (len(specs), len(bench)) == (751, 107)
+    for spec in specs + bench:
+        elements = spanning_set(spec)
+        expected = spanning_minimal_by_removal(elements, spec.alpha, spec.beta)
+        assert spanning_minimal(elements, spec.alpha, spec.beta) == expected, spec
+        # A family with an element repeated is never minimal.
+        if elements:
+            assert not spanning_minimal(elements[:1] + elements, spec.alpha, spec.beta), spec
+
+
+def test_spanning_minimality_matches_the_removal_referee_on_random_families():
+    # An element's word is random, a sum t of earlier vectors, or
+    # t + u t, whose u-multiple need not lie in the span of the others
+    # when (1 + u) times it does.
+    rng = random.Random(5)
+    verdicts = []
+    for _ in range(3000):
+        alpha, beta = rng.randint(1, 3), rng.randint(1, 3)
+        elements, vectors = [], [0]
+        for multiples in rng.choices((2, 4), k=rng.randint(0, 5)):
+            t = 0
+            for v in vectors:
+                t ^= v * rng.randint(0, 1)
+            word = rng.choice(
+                [rng.randrange(1 << (alpha + 2 * beta)), t, t ^ umul_packed(t, alpha, beta)]
+            )
+            elements.append(SpanningElement(word, alpha, beta, multiples, "S"))
+            vectors += [word, umul_packed(word, alpha, beta)][: multiples // 2]
+        expected = spanning_minimal_by_removal(elements, alpha, beta)
+        assert spanning_minimal(elements, alpha, beta) == expected, elements
+        verdicts.append(expected)
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
 
 
 DATA = Path(__file__).parent / "data"

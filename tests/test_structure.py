@@ -30,6 +30,7 @@ from z2ucodes.structure import (
     type_from_formulas,
 )
 
+from referee import primary_components_by_kernel
 from test_closure_chains import closed_word_set, spanned_words
 
 
@@ -479,14 +480,18 @@ def test_census_closures_at_the_benchmark_pairs(alpha, beta, closures, monkeypat
 def test_census_closures_per_component_at_the_benchmark_pairs(
     alpha, beta, closures, monkeypatch
 ):
-    # 35 closures in all, against 171 for the whole-ambient walk.
-    closed = closures_made(alpha, beta, monkeypatch, census=count_codes_census)
+    # 35 closures in all, against 171 for the whole-ambient walk.  The
+    # census first closes the generator words of each component, one
+    # closure per component; the walk's closures follow.
     components = structure._primary_components(alpha, beta)
+    closed = closures_made(alpha, beta, monkeypatch, census=count_codes_census)
+    assert [basis for _, basis in closed[: len(components)]] == components
+    walked = closed[len(components) :]
     per_component = [
-        sum(reduce_against(w, space) == 0 for w, _ in closed) for space in components
+        sum(reduce_against(w, space) == 0 for w, _ in walked) for space in components
     ]
     assert per_component == closures
-    assert sum(per_component) == len(closed)
+    assert sum(per_component) == len(walked)
 
 
 CRT_PAIRS = [
@@ -534,6 +539,18 @@ def test_primary_components_split_the_ambient(alpha, beta):
     nbits = alpha + 2 * beta
     assert sum(len(space) for space in components) == nbits
     assert CodeSet.from_basis(alpha, beta, [b for s in components for b in s]).rank == nbits
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(a, b) for a in range(1, 13) for b in range(1, 13)] + [(1, 16), (1, 30), (15, 15)],
+)
+def test_primary_components_are_the_kernels_of_f_e(alpha, beta):
+    # The closure of one or two generator words gives the same fully
+    # reduced basis as the kernel of f^e(S).
+    assert structure._primary_components(alpha, beta) == primary_components_by_kernel(
+        alpha, beta
+    )
 
 
 @pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS + [(3, 3), (1, 5), (5, 3), (4, 4), (2, 6)])
