@@ -106,7 +106,7 @@ def _params(args: SimpleNamespace, spec: CodeSpec, code: CodeSet) -> dict:
 
 
 def _dual(args: SimpleNamespace, spec: CodeSpec, code: CodeSet) -> dict:
-    return build_dual_report(spec, dual_bruteforce(code, args.budget), args.budget).to_dict()
+    return build_dual_report(spec, dual_bruteforce(code)).to_dict()
 
 
 def _gray(args: SimpleNamespace, spec: CodeSpec, code: CodeSet) -> dict:

@@ -646,27 +646,26 @@ def cardinality_formula(spec: CodeSpec) -> int:
     return (1 << (alpha - t1)) * (1 << (2 * (beta - t2))) * (1 << (t2 - t3))
 
 
-def enumerate_closure(
-    words: Sequence[int],
-    alpha: int,
-    beta: int,
-    budget: int = DEFAULT_BUDGET,
-) -> CodeSet:
+def enumerate_closure(words: Sequence[int], alpha: int, beta: int) -> CodeSet:
     """Fixed-point closure of the packed generator words under {+, x*, u*}."""
     if not words:
         raise ValueError("at least one generator is required")
     n = alpha + 2 * beta
-    check_budget(n, budget)
     if any(w >> n for w in words):
         raise ValueError(f"generator wider than alpha + 2*beta = {n} bits")
     return CodeSet(alpha, beta, closure_basis(words, alpha, beta))
 
 
 def closure_of_spec(spec: CodeSpec, budget: int = DEFAULT_BUDGET) -> CodeSet:
-    """Closure oracle applied to the spec's two generators."""
+    """Closure oracle applied to the spec's two generators.
+
+    The budget of the spec commands and ``verify`` is charged here, once,
+    by the ambient of 2^(alpha + 2*beta) words; what they compute next
+    works on bases at that (alpha, beta) and is not charged again.
+    """
     # Refuse before the generators pack a word of alpha + 2*beta bits.
     check_budget(spec.alpha + 2 * spec.beta, budget)
-    return enumerate_closure(spec.generators(), spec.alpha, spec.beta, budget)
+    return enumerate_closure(spec.generators(), spec.alpha, spec.beta)
 
 
 def is_constacyclic(code: CodeSet) -> bool:

@@ -30,15 +30,12 @@ from .gf2poly import (
 )
 from .ringr import reduce_rpoly
 from .codewords import (
-    DEFAULT_BUDGET,
     CodeSet,
     CodeSpec,
     ambient_word,
     basis_insert,
-    check_budget,
     check_word_width,
     closure_basis,
-    closure_of_spec,
     is_constacyclic,
     iter_spec_families,
     l_base,
@@ -77,7 +74,7 @@ def _orthogonality_rows(code: CodeSet) -> list[int]:
     return rows
 
 
-def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
+def dual_bruteforce(code: CodeSet) -> CodeSet:
     """All ambient elements orthogonal to every codeword, as a GF(2)
     kernel; no ambient word is scanned.
 
@@ -86,20 +83,20 @@ def dual_bruteforce(code: CodeSet, budget: int = DEFAULT_BUDGET) -> CodeSet:
     reduced RREF basis of rows.  The dual is their kernel
     (:func:`~z2ucodes.codewords.null_space`).  At beta = 0 the u-part
     condition is the mod-2 dot product and the free part is empty, so
-    this is the dual of a binary code.  The width and budget checks refuse the codes whose
-    words the other commands refuse to list.
+    this is the dual of a binary code.  It lists no word, and its one
+    limit is the width check, which refuses the codes whose words the
+    other commands refuse to list.
     """
     nbits = code.alpha + 2 * code.beta
     check_word_width(nbits)
-    check_budget(nbits, budget)
     kernel = null_space(_orthogonality_rows(code), nbits)
     return CodeSet.from_basis(code.alpha, code.beta, kernel)
 
 
-def check_dual_constacyclic(code: CodeSet, budget: int = DEFAULT_BUDGET) -> bool:
+def check_dual_constacyclic(code: CodeSet) -> bool:
     """Does the dual, the GF(2) kernel of :func:`dual_bruteforce`, pass
     the constacyclic closure check?"""
-    return is_constacyclic(dual_bruteforce(code, budget))
+    return is_constacyclic(dual_bruteforce(code))
 
 
 @dataclass(frozen=True)
@@ -193,9 +190,7 @@ def _second_block_rank(beta: int, y: tuple[int, int]) -> int:
     return len(closure_basis([p | q << beta], 0, beta))
 
 
-def recover_spec(
-    dual: CodeSet, cases: Sequence[int], budget: int = DEFAULT_BUDGET
-) -> "CodeSpec | None":
+def recover_spec(dual: CodeSet, cases: Sequence[int]) -> "CodeSpec | None":
     """The first valid spec, over the cases in the given order, that
     generates the dual.
 
@@ -242,7 +237,7 @@ def recover_spec(
             table = xor_table([first_rem(base << i) for i in range(free)])
             for m in [m for m, r in enumerate(table) if r == y_rems[y]]:
                 cand = CodeSpec(alpha, beta, case, a, poly_mul(m, base), g, f)
-                if closure_of_spec(cand, budget).basis == dual.basis:
+                if closure_basis(cand.generators(), alpha, beta) == dual.basis:
                     return cand
     return None
 
@@ -303,15 +298,13 @@ class DualReport:
         }
 
 
-def build_dual_report(
-    spec: CodeSpec, dual: CodeSet, budget: int = DEFAULT_BUDGET
-) -> DualReport:
+def build_dual_report(spec: CodeSpec, dual: CodeSet) -> DualReport:
     """Recover a generator spec for the dual of the spec's code and
     adjudicate the stated degrees against it."""
     # The stated form first; if it fails, any generator form for the record.
     stated = _DUAL_CASE[spec.case]
     cases = sorted((1, 2, 3), key=lambda case: case != stated)
-    return DualReport(spec, dual, dual_degree_formulas(spec), recover_spec(dual, cases, budget))
+    return DualReport(spec, dual, dual_degree_formulas(spec), recover_spec(dual, cases))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf2poly import bit_reverse
-from .codewords import DEFAULT_BUDGET, CodeSet, CodeSpec, require_valid
+from .codewords import CodeSet, CodeSpec, require_valid
 from .duality import dual_bruteforce
 
 LAYOUTS = ("interleaved", "block")
@@ -191,16 +191,16 @@ class SelfDualTransferReport:
         return checks
 
 
-def self_dual_transfer(code: CodeSet, budget: int = DEFAULT_BUDGET) -> SelfDualTransferReport:
+def self_dual_transfer(code: CodeSet) -> SelfDualTransferReport:
     """Check phi(C-dual) = phi(C)-dual; for self-dual C also check the
     image is binary self-dual."""
-    dual = dual_bruteforce(code, budget)
+    dual = dual_bruteforce(code)
     equal = {}
     image_self = {}
     self_dual = dual == code
     for layout in LAYOUTS:
         img = gray_image(code, layout)
-        dual_of_img = dual_bruteforce(img, budget)
+        dual_of_img = dual_bruteforce(img)
         equal[layout] = gray_image(dual, layout) == dual_of_img
         if self_dual:
             image_self[layout] = img == dual_of_img

@@ -201,7 +201,7 @@ def _primary_components(alpha: int, beta: int) -> list[tuple[int, ...]]:
 
 
 def _cyclic_submodules(
-    alpha: int, beta: int, budget: int, space: tuple[int, ...]
+    alpha: int, beta: int, space: tuple[int, ...]
 ) -> dict[tuple[int, ...], list[int]]:
     """Every distinct cyclic submodule inside the submodule spanned by
     ``space`` (a fully reduced RREF basis), as {RREF basis: [word,
@@ -233,7 +233,6 @@ def _cyclic_submodules(
     the next unmarked byte.
     """
     dim = len(space)
-    check_budget(dim, budget)
     rows = space[::-1]
     pivots = [b.bit_length() - 1 for b in rows]
 
@@ -275,7 +274,7 @@ def _cyclic_submodules(
 
 
 def _join_irreducibles(
-    alpha: int, beta: int, budget: int, space: tuple[int, ...]
+    alpha: int, beta: int, space: tuple[int, ...]
 ) -> list[tuple[int, tuple[int, ...]]]:
     """The join-irreducible submodules inside the submodule spanned by
     ``space`` (a fully reduced RREF basis), as (word, RREF basis) pairs
@@ -299,7 +298,7 @@ def _join_irreducibles(
     """
     irreducible = [
         (w, basis)
-        for basis, (w, gens) in _cyclic_submodules(alpha, beta, budget, space).items()
+        for basis, (w, gens) in _cyclic_submodules(alpha, beta, space).items()
         if ((1 << len(basis)) - gens).bit_count() == 1
     ]
     return sorted(irreducible, key=lambda c: len(c[1]))
@@ -381,9 +380,9 @@ def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> in
     Each component's submodules are counted as the join lattice
     (:func:`_count_joins`) of its join-irreducibles
     (:func:`_join_irreducibles`), on 2^dim(V_f) marks.  The budget and
-    the word-width limit are still charged by the whole ambient of
+    the word-width limit are charged here, once, by the whole ambient of
     2^(alpha + 2*beta) words, before x^alpha - 1 and x^beta - 1 are
-    factored.
+    factored; no component has more marks than the ambient has words.
     """
     nbits = alpha + 2 * beta
     check_budget(nbits, budget)
@@ -393,7 +392,7 @@ def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> in
             f"2^{nbits} orbit marks exceed the largest bytearray"
         )
     return math.prod(
-        _count_joins(_join_irreducibles(alpha, beta, budget, space))
+        _count_joins(_join_irreducibles(alpha, beta, space))
         for space in _primary_components(alpha, beta)
     )
 

@@ -243,6 +243,27 @@ def test_budget_below_the_ambient_size_exits_2(capsys, spec_file, argv):
     assert err == "error: ambient size 2^8 exceeds budget 255\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "dual", "params"])
+def test_budget_is_charged_once_on_the_ambient(capsys, tmp_path, command):
+    # A (9, 9) ambient of 2^27 words, past the default budget of 2^24:
+    # the command's own budget decides, and no inner layer falls back to
+    # the default.
+    path = tmp_path / "nine.spec"
+    path.write_text("alpha = 9\nbeta = 9\ncase = 1\na = 1+x\nl = 1\ng = 1+x\n")
+    argv = [command, "--spec", str(path), "--format", "json", "--budget"]
+    code, out, err = run_cli(capsys, *argv, str(1 << 27))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    if command == "verify":
+        assert doc["budget"] == 1 << 27
+        assert doc["rows"][0]["status"] == "pass"
+    else:
+        assert doc["valid"]
+    code, out, err = run_cli(capsys, *argv, str((1 << 27) - 1))
+    assert (code, out) == (2, "")
+    assert err == "error: ambient size 2^27 exceeds budget 134217727\n"
+
+
 def test_exponent_above_the_limit_exits_2(capsys, tmp_path, monkeypatch):
     # A small limit keeps the unrefused polynomial cheap if the bound fails.
     monkeypatch.setattr(gf2poly, "MAX_EXPONENT", 100)

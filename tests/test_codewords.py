@@ -280,9 +280,9 @@ class TestCardinalityAndClosure:
             enumerate_closure([0b1, 0b1000], 1, 1)
 
     def test_budget(self):
-        gen = ambient_word(P("1"), (0, 0), 3, 3)
+        spec = CodeSpec(3, 3, 1, P("1"), 0, P("1"))
         with pytest.raises(BudgetExceededError):
-            enumerate_closure([gen], 3, 3, budget=16)
+            closure_of_spec(spec, budget=16)
 
 
 class TestCodeSet:

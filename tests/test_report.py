@@ -6,10 +6,8 @@ import pytest
 
 from z2ucodes.gf2poly import parse_poly
 from z2ucodes.codewords import (
-    BudgetExceededError,
     CodeSpec,
     SpanningElement,
-    closure_of_spec,
     iter_valid_specs,
     parse_spec_text,
     spanning_minimal,
@@ -18,7 +16,7 @@ from z2ucodes.codewords import (
 )
 from z2ucodes import report
 from z2ucodes.cli import search_doc
-from z2ucodes.report import _Rows, _type_checks, render_json, render_text, verify_report
+from z2ucodes.report import render_json, render_text, verify_report
 
 from referee import spanning_minimal_by_removal
 from test_cli_goldens import SWEEP_PAIRS
@@ -76,15 +74,6 @@ class TestVerifyReport:
         assert rows["Gray-route abar prediction"]["status"] == "pass"
         assert rows["Gray-route gbar prediction"]["status"] == "pass"
         assert rows["measured binary image parameters"]["detail"] == "[21,6,8]"
-
-    def test_type_checks_honour_the_budget(self):
-        # The extra closures (C_Y and the case-1 C_b generators) run at the
-        # caller's budget, not the default one.
-        spec = CodeSpec(2, 3, 1, P("1+x^2"), P("1+x"), P("1+x"))
-        code = closure_of_spec(spec)
-        _type_checks(_Rows(), spec, code, 1 << 8)
-        with pytest.raises(BudgetExceededError, match="exceeds budget 255"):
-            _type_checks(_Rows(), spec, code, (1 << 8) - 1)
 
     @pytest.mark.parametrize("corrupted", ["interleaved", "block"])
     def test_corrupted_gray_map_breaks_the_isometry_row(self, monkeypatch, corrupted):

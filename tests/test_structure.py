@@ -5,7 +5,6 @@ import pytest
 
 from z2ucodes.gf2poly import parse_poly, poly_mul
 from z2ucodes.codewords import (
-    CENSUS_BUDGET,
     CodeSet,
     CodeSpec,
     basis_insert,
@@ -305,11 +304,11 @@ def test_census_matches_joining_every_cyclic(alpha, beta):
     assert count_codes_census(alpha, beta) == census_by_joining_every_cyclic(alpha, beta)
 
 
-def census_by_joining_minimal_missing(alpha, beta, budget=1 << 18):
+def census_by_joining_minimal_missing(alpha, beta):
     """Reference census: join every known module with each of its minimal
     missing join-irreducibles, from the zero module up, computing every
     join even when another module already made the same one."""
-    irreducible = structure._join_irreducibles(alpha, beta, budget, ambient(alpha, beta))
+    irreducible = structure._join_irreducibles(alpha, beta, ambient(alpha, beta))
     below = [
         sum(
             1 << k
@@ -382,7 +381,7 @@ def join_irreducibles_by_containment(alpha, beta):
 
 @pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS + [(2, 4), (4, 4), (5, 5)])
 def test_join_irreducibles_match_the_containment_filter(alpha, beta):
-    found = structure._join_irreducibles(alpha, beta, CENSUS_BUDGET, ambient(alpha, beta))
+    found = structure._join_irreducibles(alpha, beta, ambient(alpha, beta))
     assert found == join_irreducibles_by_containment(alpha, beta)
 
 
@@ -399,7 +398,7 @@ def test_join_irreducibles_from_word_sets(alpha, beta):
         for c in cyclic
         if spanned_words(set().union(*(d for d in cyclic if d < c))) != c
     }
-    found = structure._join_irreducibles(alpha, beta, CENSUS_BUDGET, ambient(alpha, beta))
+    found = structure._join_irreducibles(alpha, beta, ambient(alpha, beta))
     for w, basis in found:
         assert closed_word_set([w], alpha, beta) == spanned_words(basis)
     assert {frozenset(spanned_words(basis)) for _, basis in found} == expected
@@ -428,14 +427,14 @@ def test_generator_counts_match_the_orbit_walk(alpha, beta):
     # Marking each closed word's unit coset finds the same submodules, in
     # the same order, with the same least word and the same number of
     # generators as adding up shift orbits.
-    found = structure._cyclic_submodules(alpha, beta, 1 << 18, ambient(alpha, beta))
+    found = structure._cyclic_submodules(alpha, beta, ambient(alpha, beta))
     assert list(found.items()) == list(cyclic_submodules(alpha, beta).items())
 
 
-def whole_ambient_census(alpha, beta, budget=1 << 18):
+def whole_ambient_census(alpha, beta):
     """The census walk on the whole ambient, given by its n unit vectors:
     the helpers of count_codes_census on one space of 2^n marks."""
-    irreducible = structure._join_irreducibles(alpha, beta, budget, ambient(alpha, beta))
+    irreducible = structure._join_irreducibles(alpha, beta, ambient(alpha, beta))
     return structure._count_joins(irreducible)
 
 
@@ -559,16 +558,14 @@ def test_component_walk_matches_the_whole_ambient(alpha, beta):
     # the whole-ambient walk that lie in that component, in the same order,
     # with the same least word and the same number of generators.  Every
     # join-irreducible lies in one component.
-    whole = structure._cyclic_submodules(alpha, beta, 1 << 18, ambient(alpha, beta))
+    whole = structure._cyclic_submodules(alpha, beta, ambient(alpha, beta))
     irreducible = set()
     for space in structure._primary_components(alpha, beta):
         inside = [item for item in whole.items() if reduce_against(item[1][0], space) == 0]
-        walked = structure._cyclic_submodules(alpha, beta, 1 << 18, space)
+        walked = structure._cyclic_submodules(alpha, beta, space)
         assert list(walked.items()) == inside
-        irreducible |= set(structure._join_irreducibles(alpha, beta, 1 << 18, space))
-    assert irreducible == set(
-        structure._join_irreducibles(alpha, beta, 1 << 18, ambient(alpha, beta))
-    )
+        irreducible |= set(structure._join_irreducibles(alpha, beta, space))
+    assert irreducible == set(structure._join_irreducibles(alpha, beta, ambient(alpha, beta)))
 
 
 @pytest.mark.parametrize("alpha, beta", [(9, 9), (5, 15), (15, 5), (15, 15)])
