@@ -27,6 +27,7 @@ from .codewords import (
     cardinality_formula,
     check_budget,
     closure_of_spec,
+    enumerate_closure,
     iter_valid_specs,
     load_spec_file,
     spanning_set,
@@ -121,13 +122,14 @@ def search_doc(alpha_max: int, beta_max: int, d_min: "int | None", budget: int) 
         # Lazy, so a huge range is refused at its first pair past the budget.
         return ((a, b) for a in range(1, alpha_max + 1) for b in range(1, beta_max + 1))
 
+    # The search's one budget charge, on every pair before any closure.
     for alpha, beta in pairs():
         check_budget(alpha + 2 * beta, budget)
     rows = []
     distance_cache: dict = {}
     for alpha, beta in pairs():
         for spec in iter_valid_specs(alpha, beta):
-            code = closure_of_spec(spec, budget)
+            code = enumerate_closure(spec.generators(), alpha, beta)
             if code.rank < 1:
                 continue
             key = (alpha, beta, code.basis)

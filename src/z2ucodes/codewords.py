@@ -647,7 +647,8 @@ def cardinality_formula(spec: CodeSpec) -> int:
 
 
 def enumerate_closure(words: Sequence[int], alpha: int, beta: int) -> CodeSet:
-    """Fixed-point closure of the packed generator words under {+, x*, u*}."""
+    """Closure of the packed generator words under {+, x*, u*}, by shift
+    chains (:func:`closure_basis`)."""
     if not words:
         raise ValueError("at least one generator is required")
     n = alpha + 2 * beta

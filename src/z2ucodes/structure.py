@@ -10,7 +10,6 @@ exposes the other for comparison.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -202,11 +201,10 @@ def _primary_components(alpha: int, beta: int) -> list[tuple[int, ...]]:
 
 def _cyclic_submodules(
     alpha: int, beta: int, space: tuple[int, ...]
-) -> dict[tuple[int, ...], list[int]]:
+) -> dict[tuple[int, ...], int]:
     """Every distinct cyclic submodule inside the submodule spanned by
-    ``space`` (a fully reduced RREF basis), as {RREF basis: [word,
-    generators]}: the least word that generates it and the number of
-    words that do, in ascending order of that least word.
+    ``space`` (a fully reduced RREF basis), as {RREF basis: least word
+    that generates it}, in ascending order of that word.
 
     The marks index the words of the space by their coordinates, their
     bits at the pivots of the basis.  The basis is fully reduced, so a
@@ -217,20 +215,18 @@ def _cyclic_submodules(
 
     Walks the nonzero words in ascending order and closes each word w not
     yet marked, under {+, x*, u*}, to C = A w.  Then it marks every word
-    x^i w + v with v in u C, and counts each newly marked word once for
-    C.  These words all generate C: (1 + u p(x))^2 = 1, so 1 + u p(x) is
-    a unit, and (1 + u p(x)) x^i w = x^i w + u p(x) x^i w with x^i a unit
-    too (x^alpha = 1, x^beta = 1 + u).  They lie in the space, since it
-    is a submodule.  Since u^2 = 0, u C = u F2[x] w, which is the XOR
-    span of the u-multiples of C's basis: a list of Python ints that
-    doubles with each u-multiple not yet in it, so the marks need no
-    second closure.  The cosets x^i w + u C are permuted by the shift
-    (u C is shift-invariant), so they come back to w's own coset, and
-    marking stops at the first coset already marked.  A marked word
-    generates a known submodule, so each cyclic submodule is closed at
-    its least generator first, and every word that generates it is
-    counted exactly once: when it is marked.  The next word to close is
-    the next unmarked byte.
+    x^i w + v with v in u C.  These words all generate C: (1 + u p(x))^2
+    = 1, so 1 + u p(x) is a unit, and (1 + u p(x)) x^i w = x^i w + u p(x)
+    x^i w with x^i a unit too (x^alpha = 1, x^beta = 1 + u).  They lie in
+    the space, since it is a submodule.  Since u^2 = 0, u C = u F2[x] w,
+    which is the XOR span of the u-multiples of C's basis: a list of
+    Python ints that doubles with each u-multiple not yet in it, so the
+    marks need no second closure.  The cosets x^i w + u C are permuted by
+    the shift (u C is shift-invariant), so they come back to w's own
+    coset, and marking stops at the first coset already marked.  A marked
+    word generates a known submodule, so each cyclic submodule is first
+    closed at its least generator.  The next word to close is the next
+    unmarked byte.
     """
     dim = len(space)
     rows = space[::-1]
@@ -248,7 +244,7 @@ def _cyclic_submodules(
         raise BudgetExceededError(
             f"the census cannot allocate its 2^{dim} orbit marks ({1 << dim} bytes)"
         ) from None
-    cyclic: dict[tuple[int, ...], list[int]] = {}
+    cyclic: dict[tuple[int, ...], int] = {}
     c = done.find(0, 1)
     while c > 0:
         w = 0
@@ -256,7 +252,7 @@ def _cyclic_submodules(
             if c >> i & 1:
                 w ^= b
         basis = closure_basis([w], alpha, beta)
-        entry = cyclic.setdefault(basis, [w, 0])
+        cyclic.setdefault(basis, w)
         u_span = [0]
         for b in basis:
             v = coordinate(umul_packed(b, alpha, beta))
@@ -266,81 +262,52 @@ def _cyclic_submodules(
         while not done[mark]:
             for v in u_span:
                 done[mark ^ v] = 1
-            entry[1] += len(u_span)
             coset = shift_packed(coset, alpha, beta)
             mark = coordinate(coset)
         c = done.find(0, c + 1)
     return cyclic
 
 
-def _join_irreducibles(
-    alpha: int, beta: int, space: tuple[int, ...]
-) -> list[tuple[int, tuple[int, ...]]]:
-    """The join-irreducible submodules inside the submodule spanned by
-    ``space`` (a fully reduced RREF basis), as (word, RREF basis) pairs
-    with the word generating the submodule, in ascending order of rank.
-
-    Every join-irreducible is cyclic (a module is the sum of the cyclic
-    submodules of its elements), so it is one of
-    :func:`_cyclic_submodules`, which also counts the words that
-    generate each of them.
-
-    A cyclic submodule C is join-irreducible exactly when |C| minus its
-    number of generators is a power of two.  C = A w is isomorphic to the
-    ring B = A / Ann(w), A = F2[x, u] / (u^2) acting on the ambient
-    module, and the words that generate C are the units of B.  C is
-    join-irreducible when it has a unique maximal submodule, that is
-    when the finite commutative ring B is local.  A local B with residue
-    field of 2^d elements has |B| / 2^d non-units, a power of two.  A
-    product of k >= 2 local rings with residue degrees d_i, D = sum d_i,
-    has |B| (2^D - prod(2^d_i - 1)) / 2^D non-units, whose odd factor
-    2^D - prod(2^d_i - 1) is at least 3.
-    """
-    irreducible = [
-        (w, basis)
-        for basis, (w, gens) in _cyclic_submodules(alpha, beta, space).items()
-        if ((1 << len(basis)) - gens).bit_count() == 1
-    ]
-    return sorted(irreducible, key=lambda c: len(c[1]))
-
-
-def _count_joins(irreducible: list[tuple[int, tuple[int, ...]]]) -> int:
-    """The number of submodules that are sums of the join-irreducibles
-    ``irreducible`` (:func:`_join_irreducibles`), the zero module
-    included, counted as the join lattice they generate.
+def _count_joins(cyclic: list[tuple[int, tuple[int, ...]]]) -> int:
+    """The number of submodules that are sums of the cyclic submodules
+    ``cyclic``, given as (word, RREF basis) pairs with the word
+    generating the submodule, in ascending order of rank, the zero module
+    included, counted as the join lattice they generate.  Every
+    submodule of the space must be a sum of them; the cyclic submodules
+    of :func:`_cyclic_submodules` are, since a module is the sum of the
+    cyclic submodules of its elements.
 
     Walks up from the zero module.  For a known module M, let out be
-    the join-irreducibles whose word does not reduce to 0 against M;
+    the cyclic submodules whose word does not reduce to 0 against M;
     M is joined only with the minimal members of out, those with no
     other member of out strictly below them.  A sum of submodules is a
     submodule, so a join is the RREF span of the two bases and needs no
     closure.  Every submodule N is reached: for M strictly inside N,
-    N is a sum of join-irreducibles, so some join-irreducible J inside
-    N is missing from M; a minimal missing join-irreducible C at or
+    N is a sum of cyclic submodules, so some cyclic submodule J inside
+    N is missing from M; a minimal missing cyclic submodule C at or
     below J still lies in N, so M + C is strictly larger than M and
     still inside N, and the walk climbs from 0 to N.  No counting
     formula is consulted.
 
     Each join is made once per set of summands.  M is the sum of the
-    join-irreducibles inside it (every submodule is a sum of cyclic
-    submodules, and each of those a sum of join-irreducibles), so
-    M + J_k is the sum over S = inside(M) | {k}, and a set S already
-    joined gives a module already known.  (The join-irreducibles below
-    J_k are inside M already, since k is a minimal member of out.)  The
-    module reached is kept with its S: the join-irreducibles in S are
-    inside it, so only the others are reduced against it when it is
-    popped.  Different sets S can still give the same module, and the
-    seen set of bases merges them.
+    cyclic submodules inside it, so M + C_k is the sum over
+    S = inside(M) | {k}, and a set S already joined gives a module
+    already known.  (The cyclic submodules below C_k are inside M
+    already, since k is a minimal member of out.)  The module reached is
+    kept with its S: the cyclic submodules in S are inside it, so only
+    the others are reduced against it when it is popped.  Different sets
+    S can still give the same module, and the seen set of bases merges
+    them.
     """
     below = [
         sum(
             1 << k
-            for k, (v, smaller) in enumerate(irreducible)
+            for k, (v, smaller) in enumerate(cyclic)
             if len(smaller) < len(basis) and reduce_against(v, basis) == 0
         )
-        for _, basis in irreducible
+        for _, basis in cyclic
     ]
-    every = (1 << len(irreducible)) - 1
+    every = (1 << len(cyclic)) - 1
     zero_key: tuple[int, ...] = ()
     seen = {zero_key}
     joined: set[int] = set()
@@ -349,11 +316,11 @@ def _count_joins(irreducible: list[tuple[int, tuple[int, ...]]]) -> int:
         basis, summands = worklist.pop()
         out = sum(
             1 << k
-            for k, (v, _) in enumerate(irreducible)
+            for k, (v, _) in enumerate(cyclic)
             if not summands >> k & 1 and reduce_against(v, basis)
         )
         inside = every ^ out
-        for k, (_, gens) in enumerate(irreducible):
+        for k, (_, gens) in enumerate(cyclic):
             if out >> k & 1 and not below[k] & out:
                 joint = inside | 1 << k
                 if joint in joined:
@@ -378,23 +345,37 @@ def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> in
     submodule N is the direct sum of its pieces N meet V_f, each a
     submodule of V_f, and every choice of pieces gives a submodule.
     Each component's submodules are counted as the join lattice
-    (:func:`_count_joins`) of its join-irreducibles
-    (:func:`_join_irreducibles`), on 2^dim(V_f) marks.  The budget and
-    the word-width limit are charged here, once, by the whole ambient of
-    2^(alpha + 2*beta) words, before x^alpha - 1 and x^beta - 1 are
-    factored; no component has more marks than the ambient has words.
+    (:func:`_count_joins`) of its cyclic submodules
+    (:func:`_cyclic_submodules`), on 2^dim(V_f) marks.
+
+    Every one of them is join-irreducible, so the walk needs no filter
+    to leave out sums of smaller members.  f(x)^e and u^2 act as 0 on
+    V_f, so the algebra A acting there, generated by x and u, has the
+    nilpotent ideal (f(x), u), with residue field F2[x]/(f): A is
+    local.  C = A w is a quotient of A, so C has one maximal submodule,
+    f(x) C + u C, and C is not a join of two proper submodules: both lie
+    in that maximal one.
+
+    The budget and the word-width limit are charged here, once, by the
+    whole ambient of 2^(alpha + 2*beta) words, before x^alpha - 1 and
+    x^beta - 1 are factored; no component has more marks than the
+    ambient has words.
     """
     nbits = alpha + 2 * beta
     check_budget(nbits, budget)
     if nbits >= sys.maxsize.bit_length():
         raise BudgetExceededError(
-            f"word length {nbits} bits is too wide for the census: "
-            f"2^{nbits} orbit marks exceed the largest bytearray"
+            f"word length {nbits} bits is too wide for the census: a primary "
+            f"component of up to {nbits} dimensions would need 2^{nbits} orbit "
+            f"marks, more than a bytearray can index"
         )
-    return math.prod(
-        _count_joins(_join_irreducibles(alpha, beta, space))
-        for space in _primary_components(alpha, beta)
-    )
+    count = 1
+    for space in _primary_components(alpha, beta):
+        cyclic = _cyclic_submodules(alpha, beta, space)
+        count *= _count_joins(
+            sorted(((w, basis) for basis, w in cyclic.items()), key=lambda c: len(c[1]))
+        )
+    return count
 
 
 def cyclic_code_from_generator(gen: int, n: int) -> CodeSet:

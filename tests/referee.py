@@ -28,6 +28,12 @@ Two linear-algebra referees recompute what the package finds by a
 shorter argument: ``primary_components_by_kernel`` takes each primary
 component as the kernel of f^e(S), and ``spanning_minimal_by_removal``
 rebuilds the span of a spanning set once per element left out.
+
+The census referees walk the whole ambient: ``cyclic_submodules`` closes
+one word per shift orbit and counts each submodule's generators,
+``join_irreducibles`` keeps the cyclic submodules whose generator count
+says they are join-irreducible, and ``join_irreducibles_by_containment``
+finds the same ones by spanning what lies strictly inside each.
 """
 
 from dataclasses import dataclass
@@ -39,7 +45,9 @@ from z2ucodes.codewords import (
     CodeSet,
     basis_insert,
     check_word_width,
+    closure_basis,
     null_space,
+    reduce_against,
     shift_packed,
     spanning_span,
 )
@@ -556,3 +564,73 @@ def spanning_minimal_by_removal(elements, alpha: int, beta: int) -> bool:
         if spanning_span(reduced, alpha, beta).rank >= rank:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# census referees
+
+
+def cyclic_submodules(alpha: int, beta: int) -> dict[tuple[int, ...], list[int]]:
+    """Every distinct cyclic submodule of the whole ambient, as {RREF
+    basis: [least word that generates it, number of words that do]}, in
+    ascending order of that word.  Closes one word per shift orbit and
+    adds up the orbit sizes per submodule: the shift is a unit, so the
+    words of an orbit generate the same submodule."""
+    nbits = alpha + 2 * beta
+    done = bytearray(1 << nbits)
+    modules: dict[tuple[int, ...], list[int]] = {}
+    for w in range(1, 1 << nbits):
+        if not done[w]:
+            entry = modules.setdefault(closure_basis([w], alpha, beta), [w, 0])
+            orbit = w
+            while not done[orbit]:
+                done[orbit] = 1
+                entry[1] += 1
+                orbit = shift_packed(orbit, alpha, beta)
+    return modules
+
+
+def join_irreducibles(alpha: int, beta: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The join-irreducible submodules of the whole ambient, as (least
+    word, RREF basis) pairs in ascending order of rank.
+
+    Every join-irreducible is cyclic (a module is the sum of the cyclic
+    submodules of its elements), so it is one of ``cyclic_submodules``.
+    A cyclic submodule C is join-irreducible exactly when |C| minus its
+    number of generators is a power of two.  C = A w is isomorphic to the
+    ring B = A / Ann(w), A = F2[x, u] / (u^2) acting on the ambient
+    module, and the words that generate C are the units of B.  C is
+    join-irreducible when it has a unique maximal submodule, that is
+    when the finite commutative ring B is local.  A local B with residue
+    field of 2^d elements has |B| / 2^d non-units, a power of two.  A
+    product of k >= 2 local rings with residue degrees d_i, D = sum d_i,
+    has |B| (2^D - prod(2^d_i - 1)) / 2^D non-units, whose odd factor
+    2^D - prod(2^d_i - 1) is at least 3.
+    """
+    irreducible = [
+        (w, basis)
+        for basis, (w, gens) in cyclic_submodules(alpha, beta).items()
+        if ((1 << len(basis)) - gens).bit_count() == 1
+    ]
+    return sorted(irreducible, key=lambda c: len(c[1]))
+
+
+def join_irreducibles_by_containment(
+    ranked: Sequence[tuple[int, tuple[int, ...]]],
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The members of ``ranked``, (word, RREF basis) pairs of cyclic
+    submodules in ascending order of rank, that the members strictly
+    inside them do not span.  C_i lies in C_j exactly when the word of
+    C_i reduces to 0 against the basis of C_j.  These are the
+    join-irreducibles when ``ranked`` holds every cyclic submodule that
+    lies inside any of its members."""
+    irreducible = []
+    for i, (w, basis) in enumerate(ranked):
+        inside: list[int] = []
+        for v, smaller in ranked[:i]:
+            if len(smaller) < len(basis) and reduce_against(v, basis) == 0:
+                for g in smaller:
+                    basis_insert(inside, g)
+        if len(inside) < len(basis):
+            irreducible.append((w, basis))
+    return irreducible

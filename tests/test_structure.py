@@ -29,7 +29,12 @@ from z2ucodes.structure import (
     type_from_formulas,
 )
 
-from referee import primary_components_by_kernel
+from referee import (
+    cyclic_submodules,
+    join_irreducibles,
+    join_irreducibles_by_containment,
+    primary_components_by_kernel,
+)
 from test_closure_chains import closed_word_set, spanned_words
 
 
@@ -260,24 +265,6 @@ def test_census_matches_adjoining_every_word(alpha, beta):
     assert count_codes_census(alpha, beta) == census_by_adjoining_words(alpha, beta)
 
 
-def cyclic_submodules(alpha, beta):
-    """Every distinct cyclic submodule, as {RREF basis: [first word that
-    closes to it, number of words that generate it]}, closing one word
-    per shift orbit and adding up the orbit sizes per submodule."""
-    nbits = alpha + 2 * beta
-    done = bytearray(1 << nbits)
-    modules = {}
-    for w in range(1, 1 << nbits):
-        if not done[w]:
-            entry = modules.setdefault(closure_basis([w], alpha, beta), [w, 0])
-            orbit = w
-            while not done[orbit]:
-                done[orbit] = 1
-                entry[1] += 1
-                orbit = shift_packed(orbit, alpha, beta)
-    return modules
-
-
 def census_by_joining_every_cyclic(alpha, beta):
     """Reference census: close one word per shift orbit, then join every
     known module with every cyclic submodule, from the zero module up."""
@@ -308,7 +295,7 @@ def census_by_joining_minimal_missing(alpha, beta):
     """Reference census: join every known module with each of its minimal
     missing join-irreducibles, from the zero module up, computing every
     join even when another module already made the same one."""
-    irreducible = structure._join_irreducibles(alpha, beta, ambient(alpha, beta))
+    irreducible = join_irreducibles(alpha, beta)
     below = [
         sum(
             1 << k
@@ -358,31 +345,18 @@ def test_census_builds_no_word_array(monkeypatch):
     assert counts == [96, 24, 48]
 
 
-def join_irreducibles_by_containment(alpha, beta):
-    """Reference: the cyclic submodules, in ascending order of rank, that
-    the cyclic submodules strictly inside them do not span.  C_i lies in
-    C_j exactly when the word of C_i reduces to 0 against the basis of
-    C_j."""
-    ranked = sorted(
-        ((w, basis) for basis, (w, _) in cyclic_submodules(alpha, beta).items()),
-        key=lambda c: len(c[1]),
-    )
-    irreducible = []
-    for i, (w, basis) in enumerate(ranked):
-        inside = []
-        for v, smaller in ranked[:i]:
-            if len(smaller) < len(basis) and reduce_against(v, basis) == 0:
-                for g in smaller:
-                    basis_insert(inside, g)
-        if len(inside) < len(basis):
-            irreducible.append((w, basis))
-    return irreducible
+def by_rank(cyclic):
+    """The (word, RREF basis) pairs of {RREF basis: word}, in ascending
+    order of rank, as count_codes_census passes them to _count_joins."""
+    return sorted(((w, basis) for basis, w in cyclic.items()), key=lambda c: len(c[1]))
 
 
 @pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS + [(2, 4), (4, 4), (5, 5)])
 def test_join_irreducibles_match_the_containment_filter(alpha, beta):
-    found = structure._join_irreducibles(alpha, beta, ambient(alpha, beta))
-    assert found == join_irreducibles_by_containment(alpha, beta)
+    # The generator-count filter and the containment filter agree on the
+    # cyclic submodules of the whole ambient.
+    cyclic = {basis: w for basis, (w, _) in cyclic_submodules(alpha, beta).items()}
+    assert join_irreducibles(alpha, beta) == join_irreducibles_by_containment(by_rank(cyclic))
 
 
 @pytest.mark.parametrize("alpha, beta", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)])
@@ -398,7 +372,7 @@ def test_join_irreducibles_from_word_sets(alpha, beta):
         for c in cyclic
         if spanned_words(set().union(*(d for d in cyclic if d < c))) != c
     }
-    found = structure._join_irreducibles(alpha, beta, ambient(alpha, beta))
+    found = join_irreducibles(alpha, beta)
     for w, basis in found:
         assert closed_word_set([w], alpha, beta) == spanned_words(basis)
     assert {frozenset(spanned_words(basis)) for _, basis in found} == expected
@@ -425,20 +399,25 @@ def shift_orbits(alpha, beta):
 )
 def test_generator_counts_match_the_orbit_walk(alpha, beta):
     # Marking each closed word's unit coset finds the same submodules, in
-    # the same order, with the same least word and the same number of
-    # generators as adding up shift orbits.
+    # the same order, with the same least word as closing one word per
+    # shift orbit.
     found = structure._cyclic_submodules(alpha, beta, ambient(alpha, beta))
-    assert list(found.items()) == list(cyclic_submodules(alpha, beta).items())
+    orbits = [(basis, w) for basis, (w, _) in cyclic_submodules(alpha, beta).items()]
+    assert list(found.items()) == orbits
+
+
+def whole_ambient_walk(alpha, beta):
+    """The cyclic submodules walk on the whole ambient, given by its n
+    unit vectors: one space of 2^n marks."""
+    return structure._cyclic_submodules(alpha, beta, ambient(alpha, beta))
 
 
 def whole_ambient_census(alpha, beta):
-    """The census walk on the whole ambient, given by its n unit vectors:
-    the helpers of count_codes_census on one space of 2^n marks."""
-    irreducible = structure._join_irreducibles(alpha, beta, ambient(alpha, beta))
-    return structure._count_joins(irreducible)
+    """The join walk over the join-irreducibles of the whole ambient."""
+    return structure._count_joins(join_irreducibles(alpha, beta))
 
 
-def closures_made(alpha, beta, monkeypatch, census=whole_ambient_census):
+def closures_made(alpha, beta, monkeypatch, census=whole_ambient_walk):
     """The words a census closes, in order, with their closures."""
     closed = []
 
@@ -556,16 +535,31 @@ def test_primary_components_are_the_kernels_of_f_e(alpha, beta):
 def test_component_walk_matches_the_whole_ambient(alpha, beta):
     # On a component's coordinates the walk finds the cyclic submodules of
     # the whole-ambient walk that lie in that component, in the same order,
-    # with the same least word and the same number of generators.  Every
-    # join-irreducible lies in one component.
-    whole = structure._cyclic_submodules(alpha, beta, ambient(alpha, beta))
-    irreducible = set()
+    # with the same least word.  The cyclic submodules of the components
+    # are the join-irreducibles of the whole ambient.
+    whole = whole_ambient_walk(alpha, beta)
+    walked_all = set()
     for space in structure._primary_components(alpha, beta):
-        inside = [item for item in whole.items() if reduce_against(item[1][0], space) == 0]
+        inside = [(basis, w) for basis, w in whole.items() if reduce_against(w, space) == 0]
         walked = structure._cyclic_submodules(alpha, beta, space)
         assert list(walked.items()) == inside
-        irreducible |= set(structure._join_irreducibles(alpha, beta, space))
-    assert irreducible == set(structure._join_irreducibles(alpha, beta, ambient(alpha, beta)))
+        walked_all |= {(w, basis) for basis, w in walked.items()}
+    assert walked_all == set(join_irreducibles(alpha, beta))
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    dict.fromkeys(
+        [*ORACLE_PAIRS, *CRT_PAIRS, *EVEN_LENGTH_CENSUS, *BENCHMARK_PAIRS, (9, 9), (12, 6), (15, 15)]
+    ),
+)
+def test_every_cyclic_submodule_of_a_component_is_join_irreducible(alpha, beta):
+    # The algebra acting on a primary component is local, so the
+    # containment filter keeps every cyclic submodule the walk finds: none
+    # is spanned by the cyclic submodules strictly inside it.
+    for space in structure._primary_components(alpha, beta):
+        ranked = by_rank(structure._cyclic_submodules(alpha, beta, space))
+        assert join_irreducibles_by_containment(ranked) == ranked
 
 
 @pytest.mark.parametrize("alpha, beta", [(9, 9), (5, 15), (15, 5), (15, 15)])
