@@ -1,6 +1,7 @@
 """Golden CLI corpus: the stdout of the commands whose output prints
-polynomials, the help texts, and the stderr and exit status of usage
-errors, compared byte for byte with the files in tests/data/cli.
+polynomials, the census counts, the help texts, and the stderr and exit
+status of usage errors, compared byte for byte with the files in
+tests/data/cli.
 
 The files were recorded once and are committed unedited; the sweep over
 every valid spec of small lengths is kept as one SHA-256 per (alpha,
@@ -34,6 +35,12 @@ VERIFY_SPECS = {
 }
 SWEEP_PAIRS = [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (1, 4), (4, 1), (2, 6)]
 SWEEP_COMMANDS = [["verify"], ["params"], ["dual"], ["gray"], ["construct", "--emit-words"]]
+# Every pair with alpha + 2*beta <= 14, odd and even lengths alike.
+CENSUS_ARGVS = [
+    ["census", "--alpha", str(a), "--beta", str(b), "--format", "json"]
+    for b in range(1, 7)
+    for a in range(1, 15 - 2 * b)
+]
 COMMAND_NAMES = ["factor", "construct", "params", "dual", "gray", "verify", "census", "search"]
 HELP_ARGVS = [["--help"], *([name, "--help"] for name in COMMAND_NAMES)]
 # Every kind of usage error, and each command with none of its options.
@@ -106,6 +113,7 @@ def corpus(tmp: Path) -> dict[str, str]:
         path.write_text(text)
         files[name] = stdout_of(["verify", "--spec", str(path)])
     files["sweep_sha256.json"] = json.dumps(sweep_digests(tmp), indent=2) + "\n"
+    files["census.txt"] = transcript(CENSUS_ARGVS)
     files["help.txt"] = transcript(HELP_ARGVS)
     files["usage_errors.txt"] = transcript(USAGE_ERROR_ARGVS)
     return files
@@ -134,6 +142,11 @@ def test_verify_text(name, tmp_path):
 
 def test_case3_golden_prints_an_fbar_row():
     assert "Gray-route prediction fbar[1+x+x^2]" in (DATA / "verify_case3_3_3.txt").read_text()
+
+
+def test_census_json():
+    assert len(CENSUS_ARGVS) == 42
+    assert transcript(CENSUS_ARGVS) == (DATA / "census.txt").read_text()
 
 
 def test_help():
