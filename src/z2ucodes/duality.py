@@ -136,25 +136,15 @@ def dual_degree_formulas(spec: CodeSpec) -> DualDegrees:
 
 
 def _beta_factor_exponents(spec: CodeSpec) -> tuple[int, list[tuple[int, int]]]:
-    """(2^e, [(irreducible factor of x^beta-1, exponent in f*g)])."""
-    beta = spec.beta
-    e = 0
-    m = beta
-    while m % 2 == 0:
-        e += 1
-        m //= 2
-    base = factor(x_pow_n_minus_1(beta))
-    fg_f = factor(spec.f) if spec.f is not None and spec.f != 1 else None
-    fg_g = factor(spec.g) if spec.g != 1 else None
-    exps = []
-    for p, _mult in base:
-        c = 0
-        if fg_f is not None:
-            c += fg_f.multiplicity(p)
-        if fg_g is not None:
-            c += fg_g.multiplicity(p)
-        exps.append((p, c))
-    return 1 << e, exps
+    """(2^e, [(irreducible factor of x^beta-1, exponent in f*g)]).
+
+    x^beta - 1 = (x^m - 1)^(2^e) with m odd and x^m - 1 squarefree, so
+    every factor of x^beta - 1 has multiplicity 2^e.
+    """
+    base = factor(x_pow_n_minus_1(spec.beta))
+    fg = poly_mul(1 if spec.f is None else spec.f, spec.g)
+    exps = dict(factor(fg)) if fg != 1 else {}
+    return base.factors[0][1], [(p, exps.get(p, 0)) for p, _ in base]
 
 
 _DUAL_CASE = {1: 2, 2: 1, 3: 3}

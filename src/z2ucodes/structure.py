@@ -271,69 +271,27 @@ def _cyclic_submodules(
 def _count_joins(cyclic: list[tuple[int, tuple[int, ...]]]) -> int:
     """The number of submodules that are sums of the cyclic submodules
     ``cyclic``, given as (word, RREF basis) pairs with the word
-    generating the submodule, in ascending order of rank, the zero module
-    included, counted as the join lattice they generate.  Every
-    submodule of the space must be a sum of them; the cyclic submodules
-    of :func:`_cyclic_submodules` are, since a module is the sum of the
+    generating the submodule, the zero module included.  Every submodule
+    of the space must be a sum of them; the cyclic submodules of
+    :func:`_cyclic_submodules` are, since a module is the sum of the
     cyclic submodules of its elements.
 
-    Walks up from the zero module.  For a known module M, let out be
-    the cyclic submodules whose word does not reduce to 0 against M;
-    M is joined only with the minimal members of out, those with no
-    other member of out strictly below them.  A sum of submodules is a
+    Forms every subset sum in one pass, from the last member to the
+    first (from the largest rank down, as :func:`count_codes_census`
+    sorts them): each member is joined into every sum found so far that
+    its word does not reduce to 0 against.  A sum of submodules is a
     submodule, so a join is the RREF span of the two bases and needs no
-    closure.  Every submodule N is reached: for M strictly inside N,
-    N is a sum of cyclic submodules, so some cyclic submodule J inside
-    N is missing from M; a minimal missing cyclic submodule C at or
-    below J still lies in N, so M + C is strictly larger than M and
-    still inside N, and the walk climbs from 0 to N.  No counting
-    formula is consulted.
-
-    Each join is made once per set of summands.  M is the sum of the
-    cyclic submodules inside it, so M + C_k is the sum over
-    S = inside(M) | {k}, and a set S already joined gives a module
-    already known.  (The cyclic submodules below C_k are inside M
-    already, since k is a minimal member of out.)  The module reached is
-    kept with its S: the cyclic submodules in S are inside it, so only
-    the others are reduced against it when it is popped.  Different sets
-    S can still give the same module, and the seen set of bases merges
-    them.
+    closure.  The order changes only the speed.
     """
-    below = [
-        sum(
-            1 << k
-            for k, (v, smaller) in enumerate(cyclic)
-            if len(smaller) < len(basis) and reduce_against(v, basis) == 0
-        )
-        for _, basis in cyclic
-    ]
-    every = (1 << len(cyclic)) - 1
-    zero_key: tuple[int, ...] = ()
-    seen = {zero_key}
-    joined: set[int] = set()
-    worklist = [(zero_key, 0)]
-    while worklist:
-        basis, summands = worklist.pop()
-        out = sum(
-            1 << k
-            for k, (v, _) in enumerate(cyclic)
-            if not summands >> k & 1 and reduce_against(v, basis)
-        )
-        inside = every ^ out
-        for k, (_, gens) in enumerate(cyclic):
-            if out >> k & 1 and not below[k] & out:
-                joint = inside | 1 << k
-                if joint in joined:
-                    continue
-                joined.add(joint)
+    sums: set[tuple[int, ...]] = {()}
+    for w, gens in reversed(cyclic):
+        for basis in list(sums):
+            if reduce_against(w, basis):
                 grown = list(basis)
                 for g in gens:
                     basis_insert(grown, g)
-                key = tuple(grown)
-                if key not in seen:
-                    seen.add(key)
-                    worklist.append((key, joint))
-    return len(seen)
+                sums.add(tuple(grown))
+    return len(sums)
 
 
 def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> int:
@@ -344,17 +302,9 @@ def count_codes_census(alpha: int, beta: int, budget: int = CENSUS_BUDGET) -> in
     polynomials in the shift, and u commutes with the shift, so every
     submodule N is the direct sum of its pieces N meet V_f, each a
     submodule of V_f, and every choice of pieces gives a submodule.
-    Each component's submodules are counted as the join lattice
+    Each component's submodules are counted as the subset sums
     (:func:`_count_joins`) of its cyclic submodules
     (:func:`_cyclic_submodules`), on 2^dim(V_f) marks.
-
-    Every one of them is join-irreducible, so the walk needs no filter
-    to leave out sums of smaller members.  f(x)^e and u^2 act as 0 on
-    V_f, so the algebra A acting there, generated by x and u, has the
-    nilpotent ideal (f(x), u), with residue field F2[x]/(f): A is
-    local.  C = A w is a quotient of A, so C has one maximal submodule,
-    f(x) C + u C, and C is not a join of two proper submodules: both lie
-    in that maximal one.
 
     The budget and the word-width limit are charged here, once, by the
     whole ambient of 2^(alpha + 2*beta) words, before x^alpha - 1 and

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -325,8 +326,8 @@ def census_by_joining_minimal_missing(alpha, beta):
     "alpha, beta", dict.fromkeys([*ORACLE_PAIRS, (3, 3), (1, 5), (5, 3), *EVEN_LENGTH_CENSUS])
 )
 def test_census_matches_joining_each_minimal_missing(alpha, beta):
-    # One join per set of summands reaches the same modules as joining
-    # every module with every minimal missing join-irreducible.
+    # The subset-sum pass reaches the same modules as joining every module
+    # with each of its minimal missing join-irreducibles.
     expected = census_by_joining_minimal_missing(alpha, beta)
     assert count_codes_census(alpha, beta, 1 << 18) == expected
 
@@ -347,7 +348,8 @@ def test_census_builds_no_word_array(monkeypatch):
 
 def by_rank(cyclic):
     """The (word, RREF basis) pairs of {RREF basis: word}, in ascending
-    order of rank, as count_codes_census passes them to _count_joins."""
+    order of rank, as count_codes_census passes them to _count_joins's
+    subset-sum pass, which takes them from the largest rank down."""
     return sorted(((w, basis) for basis, w in cyclic.items()), key=lambda c: len(c[1]))
 
 
@@ -413,7 +415,7 @@ def whole_ambient_walk(alpha, beta):
 
 
 def whole_ambient_census(alpha, beta):
-    """The join walk over the join-irreducibles of the whole ambient."""
+    """The subset-sum pass over the join-irreducibles of the whole ambient."""
     return structure._count_joins(join_irreducibles(alpha, beta))
 
 
@@ -560,6 +562,21 @@ def test_every_cyclic_submodule_of_a_component_is_join_irreducible(alpha, beta):
     for space in structure._primary_components(alpha, beta):
         ranked = by_rank(structure._cyclic_submodules(alpha, beta, space))
         assert join_irreducibles_by_containment(ranked) == ranked
+
+
+@pytest.mark.parametrize("alpha, beta", dict.fromkeys([*BENCHMARK_PAIRS, *EVEN_LENGTH_CENSUS]))
+def test_subset_sums_do_not_depend_on_the_order(alpha, beta):
+    # The pass forms every sum of the members whatever order it takes
+    # them in; only its speed depends on the order.
+    rng = random.Random(alpha * 100 + beta)
+    product = 1
+    for space in structure._primary_components(alpha, beta):
+        ranked = by_rank(structure._cyclic_submodules(alpha, beta, space))
+        shuffled = rng.sample(ranked, len(ranked))
+        counts = {structure._count_joins(order) for order in (ranked, ranked[::-1], shuffled)}
+        assert len(counts) == 1
+        product *= counts.pop()
+    assert product == count_codes_census(alpha, beta, 1 << 18)
 
 
 @pytest.mark.parametrize("alpha, beta", [(9, 9), (5, 15), (15, 5), (15, 15)])
