@@ -19,6 +19,7 @@ package.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -508,6 +509,13 @@ def load_spec_file(path) -> CodeSpec:
 
 def validate_spec(spec: CodeSpec) -> list[str]:
     """Check the structural constraints; violations are data, not errors."""
+    return list(_violations(spec))
+
+
+@functools.lru_cache(maxsize=4096)
+def _violations(spec: CodeSpec) -> tuple[str, ...]:
+    """The violations of :func:`validate_spec`, computed once per spec:
+    the verify path asks for them once per formula it checks."""
     violations: list[str] = []
     a, l, g, f = spec.a, spec.l, spec.g, spec.f
     if not a or xn_minus_1_mod(spec.alpha, a):
@@ -523,14 +531,14 @@ def validate_spec(spec: CodeSpec) -> list[str]:
     if not violations and poly_mod(l, l_base(spec.case, a, g, spec.beta)):
         window = "((x^beta-1)/g)" if spec.case == 2 else "(x^beta-1)"
         violations.append(f"a does not divide {window} * l")
-    return violations
+    return tuple(violations)
 
 
 def require_valid(spec: CodeSpec) -> None:
     """Raise :class:`SpecValidationError` unless the spec is valid."""
-    violations = validate_spec(spec)
+    violations = _violations(spec)
     if violations:
-        raise SpecValidationError(violations)
+        raise SpecValidationError(list(violations))
 
 
 @dataclass(frozen=True)

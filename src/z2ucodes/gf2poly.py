@@ -180,12 +180,6 @@ class Factorization:
 
     factors: tuple[tuple[int, int], ...]
 
-    def multiplicity(self, f: int) -> int:
-        for g, m in self.factors:
-            if g == f:
-                return m
-        return 0
-
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.factors)
 

@@ -14,6 +14,7 @@ double cyclicity holds in block layout.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .gf2poly import bit_reverse
@@ -33,15 +34,38 @@ def gray_block_packed(w, alpha: int, beta: int):
     return a | (q << alpha) | ((p ^ q) << (alpha + beta))
 
 
+@functools.lru_cache(maxsize=256)
+def _spread_steps(beta: int) -> tuple[tuple[int, int], ...]:
+    """The (shift, mask) steps that move bit j of a beta-bit word to bit 2j.
+
+    Step s = 2^i, from the largest power of two below beta down to 1,
+    keeps the bits whose position mod 2s is below s; every intermediate
+    position is at most the final one, so the masks stop at 2*beta bits.
+    """
+    width = (1 << (2 * beta)) - 1
+    steps = []
+    s = 1
+    while s < beta:
+        block = (1 << s) - 1
+        mask = 0
+        for start in range(0, 2 * beta, 2 * s):
+            mask |= block << start
+        steps.append((s, mask & width))
+        s *= 2
+    return tuple(steps[::-1])
+
+
 def gray_interleaved_packed(w, alpha: int, beta: int):
-    """Interleaved-layout image: symbol j occupies bits alpha+2j, alpha+2j+1."""
-    amask = (1 << alpha) - 1
-    out = w & amask
-    for j in range(beta):
-        y = (w >> (alpha + beta + j)) & 1
-        xy = ((w >> (alpha + j)) & 1) ^ y
-        out = out | (y << (alpha + 2 * j)) | (xy << (alpha + 2 * j + 1))
-    return out
+    """Interleaved-layout image: symbol j occupies bits alpha+2j, alpha+2j+1,
+    the u-component q_j and then p_j ^ q_j."""
+    bmask = (1 << beta) - 1
+    p = (w >> alpha) & bmask
+    q = (w >> (alpha + beta)) & bmask
+    pq = p ^ q
+    for s, mask in _spread_steps(beta):
+        q = (q | (q << s)) & mask
+        pq = (pq | (pq << s)) & mask
+    return (w & ((1 << alpha) - 1)) | (q << alpha) | (pq << (alpha + 1))
 
 
 def _gray_packed(w, alpha: int, beta: int, layout: str):

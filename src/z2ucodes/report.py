@@ -97,8 +97,46 @@ def render_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, newline: str) -> str:
+    """``json.dumps(value, indent=2)`` with ``newline`` (a newline and the
+    enclosing indent) after each line break.
+
+    ``indent`` makes ``json`` use its pure-Python encoder, so strings go
+    through the C string encoder and ints, bools and None are written
+    here.  Any other type (floats, subclasses, a dict with a key that is
+    not a str) is left to ``json.dumps``, re-indented.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = newline + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        items = [_encode_str(key) + ": " + _json(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value, indent=2).replace("\n", newline)
+
+
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2)`` and a newline, byte for byte."""
+    return _json(doc, "\n") + "\n"
 
 
 def render(doc: dict, fmt: str) -> str:
@@ -280,14 +318,13 @@ def _isometry_holds(alpha: int, beta: int, seed: int) -> bool:
     images, in both layouts, on 200 seeded random pairs of words?"""
     rng = random.Random(seed)
     words = [rng.getrandbits(alpha + 2 * beta) for _ in range(400)]
-    return all(
-        lee_weight_packed(w1 ^ w2, alpha, beta)
-        == (
-            _gray_packed(w1, alpha, beta, layout) ^ _gray_packed(w2, alpha, beta, layout)
-        ).bit_count()
-        for w1, w2 in zip(words[0::2], words[1::2])
-        for layout in LAYOUTS
-    )
+    for w1, w2 in zip(words[0::2], words[1::2]):
+        lee = lee_weight_packed(w1 ^ w2, alpha, beta)
+        for layout in LAYOUTS:
+            image = _gray_packed(w1, alpha, beta, layout) ^ _gray_packed(w2, alpha, beta, layout)
+            if image.bit_count() != lee:
+                return False
+    return True
 
 
 def _gray_checks(rows: _Rows, spec: CodeSpec, code: CodeSet, dual: CodeSet, seed: int) -> None:
@@ -325,7 +362,7 @@ def _gray_checks(rows: _Rows, spec: CodeSpec, code: CodeSet, dual: CodeSet, seed
             "info",
             f"[{nbits},{code.rank},{d}]",
         )
-    shift_order = _shift_order(code)
+    shift_order = _shift_order(spec)
     bound = 2 * math.lcm(spec.alpha, spec.beta)
     rows.compare(
         "shift order divides 2*lcm(alpha, beta)",
@@ -346,14 +383,21 @@ def _gray_checks(rows: _Rows, spec: CodeSpec, code: CodeSet, dual: CodeSet, seed
                 )
 
 
-def _shift_order(code: CodeSet) -> int:
+def _shift_order(spec: CodeSpec) -> int:
+    """The least k > 0 with S^k the identity on the code.
+
+    S^k is linear and commutes with S and u, so it fixes every word of the
+    submodule exactly when it fixes the spec's two generators: the order
+    is the lcm of their periods under the shift.
+    """
     order = 1
-    current = [shift_packed(b, code.alpha, code.beta) for b in code.basis]
-    base = list(code.basis)
-    # The shift permutes the finite ambient space, so the basis returns.
-    while current != base:
-        current = [shift_packed(v, code.alpha, code.beta) for v in current]
-        order += 1
+    for g in spec.generators():
+        period = 1
+        w = shift_packed(g, spec.alpha, spec.beta)
+        while w != g:
+            w = shift_packed(w, spec.alpha, spec.beta)
+            period += 1
+        order = math.lcm(order, period)
     return order
 
 

@@ -8,19 +8,26 @@ that no reading reproduces is flagged, not silently accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gf2poly import parse_poly
 from .codewords import CodeSet, CodeSpec, ambient_word, closure_of_spec, enumerate_closure
 from .gray import gray_image, min_distance
 
 
-@dataclass(frozen=True)
 class Interpretation:
-    label: str
-    spec: "CodeSpec | None"
-    # packed generator words with their (alpha, beta)
-    generators: "tuple[tuple[int, ...], int, int] | None"
+    """One documented reading of a code's generators: a spec, or packed
+    generator words with their (alpha, beta)."""
+
+    __slots__ = ("label", "spec", "generators")
+
+    def __init__(
+        self,
+        label: str,
+        spec: "CodeSpec | None",
+        generators: "tuple[tuple[int, ...], int, int] | None",
+    ):
+        self.label = label
+        self.spec = spec
+        self.generators = generators
 
     def build(self) -> CodeSet:
         if self.spec is not None:
@@ -29,13 +36,24 @@ class Interpretation:
         return enumerate_closure(words, alpha, beta)
 
 
-@dataclass(frozen=True)
 class ShowcaseCode:
-    name: str
-    alpha: int
-    beta: int
-    claimed: tuple[int, int, int]
-    interpretations: tuple[Interpretation, ...]
+    """A documented code: its lengths, claimed [n, k, d] and readings."""
+
+    __slots__ = ("name", "alpha", "beta", "claimed", "interpretations")
+
+    def __init__(
+        self,
+        name: str,
+        alpha: int,
+        beta: int,
+        claimed: tuple[int, int, int],
+        interpretations: tuple[Interpretation, ...],
+    ):
+        self.name = name
+        self.alpha = alpha
+        self.beta = beta
+        self.claimed = claimed
+        self.interpretations = interpretations
 
 
 def _generator(a: str, p: str, q: str, alpha: int, beta: int) -> tuple[tuple[int, ...], int, int]:

@@ -24,10 +24,12 @@ and ``RPoly`` (p + u*q over them).  ``is_irreducible``, ``expand``,
 built on them, and ``word_texts`` the text and order of words written
 with one ``RElem`` per symbol.
 
-Two linear-algebra referees recompute what the package finds by a
-shorter argument: ``primary_components_by_kernel`` takes each primary
-component as the kernel of f^e(S), and ``spanning_minimal_by_removal``
-rebuilds the span of a spanning set once per element left out.
+Four referees recompute what the package finds by a shorter argument:
+``primary_components_by_kernel`` takes each primary component as the
+kernel of f^e(S), ``spanning_minimal_by_removal`` rebuilds the span of
+a spanning set once per element left out, ``shift_order_by_basis``
+shifts a whole basis until it returns, and ``gray_interleaved_by_bits``
+builds an interleaved Gray image bit by bit.
 
 The census referees walk the whole ambient: ``cyclic_submodules`` closes
 one word per shift orbit and counts each submodule's generators,
@@ -335,6 +337,18 @@ def gray_map(c: Codeword, layout: str = "interleaved") -> tuple[int, ...]:
     raise ValueError(f"unknown layout {layout!r}")
 
 
+def gray_interleaved_by_bits(w, alpha: int, beta: int):
+    """Referee of ``gray.gray_interleaved_packed``: the interleaved image
+    built one symbol at a time, q_j at bit alpha+2j and p_j ^ q_j at bit
+    alpha+2j+1."""
+    out = w & ((1 << alpha) - 1)
+    for j in range(beta):
+        y = (w >> (alpha + beta + j)) & 1
+        xy = ((w >> (alpha + j)) & 1) ^ y
+        out = out | (y << (alpha + 2 * j)) | (xy << (alpha + 2 * j + 1))
+    return out
+
+
 def lee_weight(c: Codeword) -> int:
     return sum(c.a) + sum(LEE[e] for e in c.b)
 
@@ -564,6 +578,20 @@ def spanning_minimal_by_removal(elements, alpha: int, beta: int) -> bool:
         if spanning_span(reduced, alpha, beta).rank >= rank:
             return False
     return True
+
+
+def shift_order_by_basis(code) -> int:
+    """Referee of ``report._shift_order``: the least k > 0 with S^k the
+    identity on the code, found by shifting every basis vector until the
+    whole basis returns."""
+    order = 1
+    base = list(code.basis)
+    current = [shift_packed(b, code.alpha, code.beta) for b in base]
+    # The shift permutes the finite ambient space, so the basis returns.
+    while current != base:
+        current = [shift_packed(v, code.alpha, code.beta) for v in current]
+        order += 1
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -579,8 +579,10 @@ def test_help_exits_0(capsys, argv):
             assert f"  {name}  " in out
 
 
-def test_importing_the_cli_leaves_argparse_unloaded():
-    script = "import sys\nimport z2ucodes.cli\nprint('argparse' in sys.modules)\n"
+def _loaded_after_importing_the_cli(module: str) -> bool:
+    """Whether a fresh interpreter holds ``module`` once it has imported
+    z2ucodes.cli."""
+    script = f"import sys\nimport z2ucodes.cli\nprint({module!r} in sys.modules)\n"
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -590,4 +592,15 @@ def test_importing_the_cli_leaves_argparse_unloaded():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return proc.stdout == "True\n"
+
+
+def test_importing_the_cli_leaves_argparse_unloaded():
+    assert not _loaded_after_importing_the_cli("argparse")
+
+
+def test_importing_the_cli_leaves_showcase_unloaded():
+    # verify imports the documented codes on its first use, so that a
+    # command that never asks for them does not compile them at start-up.
+    assert not _loaded_after_importing_the_cli("z2ucodes.showcase")
+    assert _loaded_after_importing_the_cli("z2ucodes.report")

@@ -153,6 +153,19 @@ class TestValidateSpec:
     def test_worked_valid(self):
         assert validate_spec(WORKED) == []
 
+    def test_returned_list_is_the_callers_own(self):
+        # The violations are computed once per spec; a caller that edits
+        # the list it got must not change what the next caller gets.
+        bad = CodeSpec(2, 3, 1, P("1+x^2"), P("1"), P("1+x"))
+        first = validate_spec(bad)
+        first.append("edited")
+        first[0] = "replaced"
+        equal = CodeSpec(2, 3, 1, P("1+x^2"), P("1"), P("1+x"))
+        assert validate_spec(equal) == ["a does not divide (x^beta-1) * l"]
+        valid = validate_spec(WORKED)
+        valid.append("edited")
+        assert validate_spec(WORKED) == []
+
     def test_case1_divisibility_violation(self):
         bad = CodeSpec(2, 3, 1, P("1+x^2"), P("1"), P("1+x"))
         violations = validate_spec(bad)

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from z2ucodes import codewords
@@ -27,7 +27,7 @@ from z2ucodes.gray import (
 )
 
 from referee import R_ONE, R_ONE_U, R_U, R_ZERO, Codeword, gray_map, gray_symbol, lee_weight
-from referee import min_distance_scan, word_array
+from referee import gray_interleaved_by_bits, min_distance_scan, word_array
 
 
 def P(text):
@@ -111,6 +111,33 @@ class TestGrayMapPacked:
     def test_seeded_words_at_7_7(self):
         rng = random.Random(62)
         self._check([rng.getrandbits(21) for _ in range(2_000)], 7, 7)
+
+
+@st.composite
+def interleaved_inputs(draw):
+    """A word of alpha + 2*beta bits, alpha in 0..10 and beta in 0..40:
+    words past 63 bits, and beta = 0 with no R block at all."""
+    alpha = draw(st.integers(0, 10))
+    beta = draw(st.integers(0, 40))
+    return draw(st.integers(0, (1 << (alpha + 2 * beta)) - 1)), alpha, beta
+
+
+@settings(deadline=None, max_examples=300)
+@given(interleaved_inputs())
+@example((0, 0, 0))
+@example(((1 << 90) - 1, 10, 40))
+@example((0x9E3779B97F4A7C15, 0, 32))
+def test_interleaved_image_matches_the_bitwise_referee(case):
+    w, alpha, beta = case
+    assert gray_interleaved_packed(w, alpha, beta) == gray_interleaved_by_bits(w, alpha, beta)
+
+
+def test_interleaved_image_of_int64_arrays_matches_the_bitwise_referee():
+    rng = random.Random(30)
+    for alpha, beta in [(0, 1), (3, 3), (1, 31), (11, 26)]:
+        words = [rng.getrandbits(alpha + 2 * beta) for _ in range(200)]
+        images = gray_interleaved_packed(np.array(words, dtype=np.int64), alpha, beta)
+        assert images.tolist() == [gray_interleaved_by_bits(w, alpha, beta) for w in words]
 
 
 class TestLeeWeightPacked:

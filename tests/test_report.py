@@ -1,12 +1,18 @@
+import enum
+import json
 import random
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from z2ucodes.gf2poly import parse_poly
 from z2ucodes.codewords import (
     CodeSpec,
+    closure_of_spec,
     SpanningElement,
     iter_valid_specs,
     parse_spec_text,
@@ -18,7 +24,7 @@ from z2ucodes import report
 from z2ucodes.cli import search_doc
 from z2ucodes.report import render_json, render_text, verify_report
 
-from referee import spanning_minimal_by_removal
+from referee import shift_order_by_basis, spanning_minimal_by_removal
 from test_cli_goldens import SWEEP_PAIRS
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -105,6 +111,34 @@ class TestVerifyReport:
         assert render_json(doc) == render_json(verify_report(spec, seed=5))
 
 
+_JSON_LEAVES = (
+    st.text()
+    | st.sampled_from(['"', "\\", '"quoted" \\path\\', "\x00\x1f\n\t\r\x7f", "é€ ß 😀", ""])
+    | st.integers(-(1 << 200), 1 << 200)
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+def _json_values(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4)
+        | st.dictionaries(_JSON_LEAVES, children, max_size=4)
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.recursive(_JSON_LEAVES, _json_values, max_leaves=30))
+@example({"rows": [{"check": "a", "status": "pass"}], "summary": {}, "spec": []})
+@example({"outer": [{1: [1, 2.5], None: {"k": ()}, True: "t"}, {}]})
+@example([OrderedDict(k=[enum.IntEnum("E", "A").A, ("x",)]), {"s": [False]}])
+def test_render_json_matches_json_dumps(value):
+    assert render_json(value) == json.dumps(value, indent=2) + "\n"
+
+
 def bench_verify_specs(seed):
     """The specs of the benchmark's verify round for a seed: the full
     (7,7) code, then the seeded sample."""
@@ -116,6 +150,17 @@ def bench_verify_specs(seed):
         sys.path.remove(str(BENCH))
     specs = [inputs.FULL_SPEC, *(spec for spec, _ in inputs.sample_specs(seed, checks.rank))]
     return [parse_spec_text(inputs.spec_text(spec)) for spec in specs]
+
+
+def test_shift_order_matches_the_basis_referee():
+    # The generators' periods against the whole basis, on every valid spec
+    # of alpha <= 6 and beta <= 5 and on the benchmark's seed-1 sample.
+    specs = [s for a in range(1, 7) for b in range(1, 6) for s in iter_valid_specs(a, b)]
+    bench = bench_verify_specs(1)
+    assert (len(specs), len(bench)) == (4029, 107)
+    for spec in specs + bench:
+        expected = shift_order_by_basis(closure_of_spec(spec))
+        assert report._shift_order(spec) == expected, spec
 
 
 def test_spanning_minimality_matches_the_removal_referee_on_stated_families():
