@@ -512,10 +512,11 @@ def validate_spec(spec: CodeSpec) -> list[str]:
     return list(_violations(spec))
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=1)
 def _violations(spec: CodeSpec) -> tuple[str, ...]:
     """The violations of :func:`validate_spec`, computed once per spec:
-    the verify path asks for them once per formula it checks."""
+    a verify report validates its spec and then checks five formulas that
+    each validate it again, so the last spec is all the reuse there is."""
     violations: list[str] = []
     a, l, g, f = spec.a, spec.l, spec.g, spec.f
     if not a or xn_minus_1_mod(spec.alpha, a):
