@@ -702,41 +702,35 @@ def l_base(case: int, a: int, g: int, beta: int) -> int:
     return poly_divmod(m, poly_gcd(m, xn_minus_1_mod(beta, m)))[0]
 
 
-def iter_spec_families(
-    alpha: int, beta: int, case: int
-) -> Iterator[tuple[int, int, "int | None"]]:
-    """(a, g, f) of every valid spec family of one case, in sweep order.
-
-    The family's valid l are those with deg(l) < deg(a) and base | l, for
-    base = l_base(case, a, g, beta): the m * base with deg(m) < deg(a) -
-    deg(base), in the order of m's bit pattern.  Case 3 iterates f != 1
-    only; an f of 1 reproduces a case-1 spec.
-    """
-    divs_a = divisors_of_xn_minus_1(alpha)
-    divs_b = divisors_of_xn_minus_1(beta)
-    if case == 3:
-        for f in divs_b:
-            if f == 1:
-                continue
-            for g in divs_b:
-                if not poly_mod(g, f):
-                    for a in divs_a:
-                        yield a, g, f
-        return
-    for a in divs_a:
-        for g in divs_b:
-            yield a, g, None
-
-
 def iter_valid_specs(
     alpha: int, beta: int, cases: Sequence[int] = (1, 2, 3)
 ) -> Iterator[CodeSpec]:
     """Every valid CodeSpec for the given lengths, in deterministic order:
-    case by case, then family by family of :func:`iter_spec_families`,
-    then l by l."""
+    case by case, then family by family (a, g in cases 1 and 2; f, g with
+    f | g, a in case 3, which skips f = 1 as that reproduces a case-1
+    spec), each over the ascending divisors of x^n-1, then l by l.
+
+    A family's valid l are those with deg(l) < deg(a) and base | l, for
+    base = l_base(case, a, g, beta): the m * base with deg(m) < deg(a) -
+    deg(base), in the order of m's bit pattern.
+    """
+    divs_a = divisors_of_xn_minus_1(alpha)
+    divs_b = divisors_of_xn_minus_1(beta)
     for case in (1, 2, 3):
-        if case in cases:
-            for a, g, f in iter_spec_families(alpha, beta, case):
-                base = l_base(case, a, g, beta)
-                for m in range(1 << (a.bit_length() - base.bit_length())):
-                    yield CodeSpec(alpha, beta, case, a, poly_mul(m, base), g, f)
+        if case not in cases:
+            continue
+        if case == 3:
+            families = (
+                (a, g, f)
+                for f in divs_b
+                if f != 1
+                for g in divs_b
+                if not poly_mod(g, f)
+                for a in divs_a
+            )
+        else:
+            families = ((a, g, None) for a in divs_a for g in divs_b)
+        for a, g, f in families:
+            base = l_base(case, a, g, beta)
+            for m in range(1 << (a.bit_length() - base.bit_length())):
+                yield CodeSpec(alpha, beta, case, a, poly_mul(m, base), g, f)

@@ -13,11 +13,11 @@ keep the ambient scan as its referee.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .gf2poly import (
+    divisors_of_xn_minus_1,
     factor,
     poly_divmod,
     poly_gcd,
@@ -28,7 +28,6 @@ from .gf2poly import (
     reciprocal,
     x_pow_n_minus_1,
 )
-from .ringr import reduce_rpoly
 from .codewords import (
     CodeSet,
     CodeSpec,
@@ -37,13 +36,9 @@ from .codewords import (
     check_word_width,
     closure_basis,
     is_constacyclic,
-    iter_spec_families,
-    l_base,
     null_space,
     reduce_against,
     require_valid,
-    xor_table,
-    y_generator_of,
 )
 
 
@@ -173,62 +168,58 @@ def separable_dual(spec: CodeSpec) -> CodeSpec:
     return CodeSpec(spec.alpha, spec.beta, 3, abar, 0, gbar, fbar)
 
 
-@functools.lru_cache(maxsize=4096)
-def _second_block_rank(beta: int, y: tuple[int, int]) -> int:
-    """Rank of the submodule of R[x]/(x^beta - 1 - u) generated by y."""
-    p, q = reduce_rpoly(y, beta)
-    return len(closure_basis([p | q << beta], 0, beta))
-
-
 def recover_spec(dual: CodeSet, cases: Sequence[int]) -> "CodeSpec | None":
     """The first valid spec, over the cases in the given order, that
-    generates the dual.
+    generates the dual, read off its RREF basis.
 
-    A spec can only generate the dual if both its generators lie in it,
-    so only those candidates are closed; the filter is a necessary
-    condition and leaves the search's answer unchanged.  Reduction
-    against the dual's RREF basis is linear, so (a, 0) lies in the dual
-    iff its remainder is 0, and (l, y) iff rem(l, 0) == rem(0, y).  A
-    family's l are m*base with deg(m) < free, so rem(m*base, 0) is the
-    XOR of rem(x^i*base, 0) over the set bits i of m: one XOR table of
-    the free rows decides every l of the family, and the passing m are
-    closed in ascending order, the sweep order.
-
-    A candidate's closure C lies in the dual, and C's projection onto
-    the R block is the submodule generated by y, so C can equal the dual
-    only if that submodule has the rank of the dual's projection: the
-    number of RREF basis vectors with a bit at or above alpha.  Families
-    whose y fails this are skipped.
+    R[x]/(x^beta - 1 - u) is F2[x]/((x^beta-1)^2) with u = x^beta - 1, so
+    the R block of a word is p + (x^beta-1)*q.  The basis vectors with no
+    bit at or above alpha span the dual's meet with Z2^alpha x 0, the
+    ideal <a> with a their gcd with x^alpha-1; the others span its R-block
+    projection, the ideal <d> with d their gcd with (x^beta-1)^2.  A spec
+    generates the dual only if its y generates <d>: y = g = d (case 1,
+    d | x^beta-1), y = u*g with d = (x^beta-1)*g (case 2), or y = f*g = d
+    with f | g | x^beta-1 and f != 1 (case 3).  Every such y is (d, 0) in
+    the ring, so the splits of d give the same generators and the first f
+    in divisor order is the sweep's.  The (l, y) in the dual are the l
+    congruent mod a to the first block of (0, y)'s remainder against the
+    basis, one of them of degree below deg(a).  The sweep's first
+    generating spec has this a too: its own a is a multiple of it, which
+    comes later in divisor order, and if it generates the dual, so does
+    this a.  For a submodule the candidate always generates it: d lies in
+    the projection, so (l, y) lies in the submodule, and the candidate's
+    closure has the same meet <a> and projection <d>.  The final check,
+    that the closure is the dual, therefore answers None only for a set
+    that is no submodule.
     """
     alpha, beta = dual.alpha, dual.beta
-    second_rank = sum(1 for b in dual.basis if b >> alpha)
-    first_rems: dict[int, int] = {}
-    y_rems: dict[tuple[int, int], int] = {}
+    xb, bmask = x_pow_n_minus_1(beta), (1 << beta) - 1
+    a, d = x_pow_n_minus_1(alpha), x_pow_n_minus_1(2 * beta)
+    for b in dual.basis:
+        if b >> alpha:
+            p, q = (b >> alpha) & bmask, b >> (alpha + beta)
+            d = poly_gcd(d, p ^ q ^ (q << beta))
+        else:
+            a = poly_gcd(a, b)
+    l = poly_mod(reduce_against(ambient_word(0, (d, 0), alpha, beta), dual.basis), a)
 
-    def rem(first: int, second: tuple[int, int]) -> int:
-        return reduce_against(ambient_word(first, second, alpha, beta), dual.basis)
-
-    def first_rem(first: int) -> int:
-        if first not in first_rems:
-            first_rems[first] = rem(first, (0, 0))
-        return first_rems[first]
+    def split(case: int) -> "tuple[int, int | None] | None":
+        if case == 1:
+            return None if poly_mod(xb, d) else (d, None)
+        if case == 2:
+            g, r = poly_divmod(d, xb)
+            return None if r else (g, None)
+        for f in divisors_of_xn_minus_1(beta):
+            g, r = poly_divmod(d, f)
+            if f != 1 and not r and not poly_mod(g, f) and not poly_mod(xb, g):
+                return g, f
+        return None
 
     for case in cases:
-        for a, g, f in iter_spec_families(alpha, beta, case):
-            if first_rem(a):
-                continue
-            y = y_generator_of(case, g, f)
-            if _second_block_rank(beta, y) != second_rank:
-                continue
-            if y not in y_rems:
-                y_rems[y] = rem(0, y)
-            base = l_base(case, a, g, beta)
-            free = a.bit_length() - base.bit_length()
-            table = xor_table([first_rem(base << i) for i in range(free)])
-            for m in [m for m, r in enumerate(table) if r == y_rems[y]]:
-                cand = CodeSpec(alpha, beta, case, a, poly_mul(m, base), g, f)
-                if closure_basis(cand.generators(), alpha, beta) == dual.basis:
-                    return cand
+        if (gf := split(case)) is not None:
+            cand = CodeSpec(alpha, beta, case, a, l, *gf)
+            if closure_basis(cand.generators(), alpha, beta) == dual.basis:
+                return cand
     return None
 
 

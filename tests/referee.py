@@ -24,12 +24,14 @@ and ``RPoly`` (p + u*q over them).  ``is_irreducible``, ``expand``,
 built on them, and ``word_texts`` the text and order of words written
 with one ``RElem`` per symbol.
 
-Four referees recompute what the package finds by a shorter argument:
+Five referees recompute what the package finds by a shorter argument:
 ``primary_components_by_kernel`` takes each primary component as the
 kernel of f^e(S), ``spanning_minimal_by_removal`` rebuilds the span of
 a spanning set once per element left out, ``shift_order_by_basis``
-shifts a whole basis until it returns, and ``gray_interleaved_by_bits``
-builds an interleaved Gray image bit by bit.
+shifts a whole basis until it returns, ``gray_interleaved_by_bits``
+builds an interleaved Gray image bit by bit, and
+``recover_by_candidate_loop`` finds a dual's generator spec by closing
+every valid spec whose generators lie in the dual, in sweep order.
 
 The census referees walk the whole ambient: ``cyclic_submodules`` closes
 one word per shift orbit and counts each submodule's generators,
@@ -45,9 +47,12 @@ import numpy as np
 
 from z2ucodes.codewords import (
     CodeSet,
+    ambient_word,
     basis_insert,
     check_word_width,
     closure_basis,
+    enumerate_closure,
+    iter_valid_specs,
     null_space,
     reduce_against,
     shift_packed,
@@ -592,6 +597,30 @@ def shift_order_by_basis(code) -> int:
         current = [shift_packed(v, code.alpha, code.beta) for v in current]
         order += 1
     return order
+
+
+def _close_spec(spec):
+    return enumerate_closure(spec.generators(), spec.alpha, spec.beta)
+
+
+def recover_by_candidate_loop(dual, cases, close=_close_spec):
+    """Referee of ``duality.recover_spec``: every valid spec in sweep
+    order, case by case, tested one by one for both generators lying in
+    the dual, and closed with ``close`` (by default the closure oracle,
+    charged no budget) only if they do; the first whose closure is the
+    dual, or None."""
+    alpha, beta = dual.alpha, dual.beta
+
+    def rem(first, second):
+        return reduce_against(ambient_word(first, second, alpha, beta), dual.basis)
+
+    for case in cases:
+        for cand in iter_valid_specs(alpha, beta, (case,)):
+            if rem(cand.a, (0, 0)) or rem(cand.l, (0, 0)) != rem(0, cand.y_generator()):
+                continue
+            if close(cand).basis == dual.basis:
+                return cand
+    return None
 
 
 # ---------------------------------------------------------------------------
