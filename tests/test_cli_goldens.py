@@ -4,8 +4,9 @@ status of usage errors, compared byte for byte with the files in
 tests/data/cli.
 
 The files were recorded once and are committed unedited; the sweep over
-every valid spec of small lengths is kept as one SHA-256 per (alpha,
-beta) pair.  To record the corpus again from the source on the path:
+every valid spec of small lengths, and over every 64th valid spec of the
+benchmark's pairs, is kept as one SHA-256 per (alpha, beta) pair.  To
+record the corpus again from the source on the path:
 
     PYTHONPATH=src python tests/test_cli_goldens.py --record
 """
@@ -13,6 +14,7 @@ beta) pair.  To record the corpus again from the source on the path:
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import shlex
 import sys
@@ -34,6 +36,11 @@ VERIFY_SPECS = {
     "verify_case3_3_3.txt": "alpha = 3\nbeta = 3\ncase = 3\na = 1+x\nl = 0\ng = 1+x+x^2\nf = 1+x+x^2\n",
 }
 SWEEP_PAIRS = [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (1, 4), (4, 1), (2, 6)]
+# The benchmark's pairs, too large for a full sweep: every SWEEP_STRIDE-th
+# valid spec in sweep order (the 64th, the 128th, ...).  The first spec,
+# the whole ambient at (7,7), would take longer than the rest together.
+SAMPLED_PAIRS = [(7, 7), (3, 7), (7, 3)]
+SWEEP_STRIDE = 64
 SWEEP_COMMANDS = [["verify"], ["params"], ["dual"], ["gray"], ["construct", "--emit-words"]]
 # Every pair with alpha + 2*beta <= 14, odd and even lengths alike.
 CENSUS_ARGVS = [
@@ -90,12 +97,12 @@ def transcript(argvs: list[list[str]]) -> str:
     return "\n".join(parts)
 
 
-def sweep_digest(alpha: int, beta: int, spec_path: Path) -> dict:
+def sweep_digest(alpha: int, beta: int, spec_path: Path, stride: int = 1) -> dict:
     """The SHA-256 of the JSON stdout of every sweep command on every
-    valid spec of (alpha, beta), in sweep order."""
+    stride-th valid spec of (alpha, beta), in sweep order."""
     digest = hashlib.sha256()
     count = 0
-    for spec in iter_valid_specs(alpha, beta):
+    for spec in itertools.islice(iter_valid_specs(alpha, beta), stride - 1, None, stride):
         spec_path.write_text(spec.serialize())
         for command in SWEEP_COMMANDS:
             argv = [command[0], "--spec", str(spec_path), *command[1:], "--format", "json"]
@@ -120,7 +127,10 @@ def corpus(tmp: Path) -> dict[str, str]:
 
 
 def sweep_digests(tmp: Path) -> dict:
-    return {f"{a},{b}": sweep_digest(a, b, tmp / "sweep.spec") for a, b in SWEEP_PAIRS}
+    digests = {f"{a},{b}": sweep_digest(a, b, tmp / "sweep.spec") for a, b in SWEEP_PAIRS}
+    for a, b in SAMPLED_PAIRS:
+        digests[f"{a},{b}/{SWEEP_STRIDE}"] = sweep_digest(a, b, tmp / "sweep.spec", SWEEP_STRIDE)
+    return digests
 
 
 @pytest.mark.parametrize("n", FACTOR_NS)
@@ -159,7 +169,8 @@ def test_usage_errors():
 
 def test_sweep_digests(tmp_path):
     expected = json.loads((DATA / "sweep_sha256.json").read_text())
-    assert sum(entry["specs"] for entry in expected.values()) == 751
+    assert sum(entry["specs"] for key, entry in expected.items() if "/" not in key) == 751
+    assert sum(entry["specs"] for key, entry in expected.items() if "/" in key) == 116
     assert sweep_digests(tmp_path) == expected
 
 
