@@ -144,23 +144,61 @@ def basis_insert(basis: list[int], v: int) -> bool:
     return True
 
 
-def null_space(rows: Sequence[int], nbits: int) -> list[int]:
-    """A basis of the nbits-bit words with even parity against every row
-    of a fully reduced RREF basis: for each bit j that is no row's
-    pivot, the word 1 << j plus the pivots of the rows with bit j set."""
-    pivot_bits = 0
-    for r in rows:
-        pivot_bits |= 1 << (r.bit_length() - 1)
+def rref(vectors: Iterable[int]) -> tuple[int, ...]:
+    """The canonical RREF basis of the span of the vectors: one forward
+    pass into rows keyed by leading bit, then one back-substitution."""
+    rows: dict[int, int] = {}
+    for v in vectors:
+        while v and (lead := v.bit_length() - 1) in rows:
+            v ^= rows[lead]
+        if v:
+            rows[lead] = v
+    return _back_substitute(rows)
+
+
+def _back_substitute(rows: dict[int, int]) -> tuple[int, ...]:
+    """The canonical basis of echelon rows keyed by leading bit: each row,
+    by ascending lead, reduced against the fully reduced rows below it."""
+    basis: list[int] = []
+    for lead in sorted(rows):
+        basis.append(reduce_against(rows[lead], basis))
+    return tuple(basis[::-1])
+
+
+def null_space(vectors: Iterable[int], nbits: int) -> tuple[int, ...]:
+    """The canonical RREF basis of the nbits-bit words with even parity
+    against every vector.
+
+    The vectors are eliminated on their lowest set bit and fully
+    reduced.  For each bit j that is no pivot, the kernel word is 1 << j
+    plus the pivots of the rows with bit j set; those pivots lie below j,
+    so by descending j the words are already canonical.
+    """
+    rows: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            pivot = v & -v
+            if pivot not in rows:
+                rows[pivot] = v
+                break
+            v ^= rows[pivot]
+    reduced: list[tuple[int, int]] = []
+    for pivot in sorted(rows, reverse=True):
+        r = rows[pivot]
+        for q, row in reduced:
+            if r & q:
+                r ^= row
+        reduced.append((pivot, r))
     kernel = []
-    for j in range(nbits):
-        if (pivot_bits >> j) & 1:
-            continue
-        v = 1 << j
-        for r in rows:
-            if (r & v).bit_count() & 1:
-                v |= 1 << (r.bit_length() - 1)
-        kernel.append(v)
-    return kernel
+    for j in range(nbits - 1, -1, -1):
+        bit = 1 << j
+        if bit not in rows:
+            word = bit
+            for pivot, r in reduced:
+                if r & bit:
+                    word |= pivot
+            kernel.append(word)
+    return tuple(kernel)
 
 
 def xor_table(vectors: Sequence[int]) -> list[int]:
@@ -198,20 +236,6 @@ def span_array(basis: Sequence[int], nbits: int) -> list[int]:
     return xor_table(basis[::-1])
 
 
-def basis_from_group_array(words: Sequence[int]) -> list[int]:
-    """Extract a basis from a sorted XOR-subgroup list.
-
-    In a numerically sorted subgroup the element at index 2^i is the i-th
-    vector of its RREF basis, so the span of these elements equals the
-    list exactly when the list is a subgroup.
-    """
-    k = len(words).bit_length() - 1
-    basis: list[int] = []
-    for i in range(k):
-        basis_insert(basis, words[1 << i])
-    return basis
-
-
 # ---------------------------------------------------------------------------
 # closure oracle
 
@@ -241,10 +265,7 @@ def closure_basis(packed_gens: Iterable[int], alpha: int, beta: int) -> tuple[in
                 break
             rows[lead] = w
             v = shift_packed(v, alpha, beta)
-    basis: list[int] = []
-    for lead in sorted(rows):
-        basis.append(reduce_against(rows[lead], basis))
-    return tuple(basis[::-1])
+    return _back_substitute(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +293,7 @@ class CodeSet:
 
     @classmethod
     def from_basis(cls, alpha: int, beta: int, vectors: Iterable[int]) -> "CodeSet":
-        basis: list[int] = []
-        for v in vectors:
-            basis_insert(basis, int(v))
-        return cls(alpha, beta, tuple(basis))
+        return cls(alpha, beta, rref(map(int, vectors)))
 
     @classmethod
     def from_packed_words(cls, alpha: int, beta: int, words: Iterable[int]) -> "CodeSet":
@@ -287,10 +305,11 @@ class CodeSet:
             raise ValueError("a code set must contain the zero word")
         if n & (n - 1):
             raise ValueError("not closed under addition: size is not a power of two")
-        basis = basis_from_group_array(words)
+        # In a sorted subgroup the word at index 2^i is its i-th RREF vector.
+        basis = rref(words[1 << i] for i in range(n.bit_length() - 1))
         if span_array(basis, alpha + 2 * beta) != words:
             raise ValueError("not closed under addition")
-        return cls(alpha, beta, tuple(basis))
+        return cls(alpha, beta, basis)
 
     @property
     def n(self) -> int:

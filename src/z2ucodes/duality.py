@@ -32,7 +32,6 @@ from .codewords import (
     CodeSet,
     CodeSpec,
     ambient_word,
-    basis_insert,
     check_word_width,
     closure_basis,
     is_constacyclic,
@@ -60,13 +59,11 @@ def orthogonality_masks(gen_packed: int, alpha: int, beta: int) -> tuple[int, in
 
 
 def _orthogonality_rows(code: CodeSet) -> list[int]:
-    """An RREF basis of the generators' orthogonality masks: the dual is
-    the set of words with even parity against every row."""
-    rows: list[int] = []
-    for gen in code.basis:
-        for mask in orthogonality_masks(int(gen), code.alpha, code.beta):
-            basis_insert(rows, mask)
-    return rows
+    """The orthogonality masks of the basis vectors, two per vector: the
+    dual is the set of words with even parity against every row."""
+    return [
+        mask for gen in code.basis for mask in orthogonality_masks(gen, code.alpha, code.beta)
+    ]
 
 
 def dual_bruteforce(code: CodeSet) -> CodeSet:
@@ -74,9 +71,9 @@ def dual_bruteforce(code: CodeSet) -> CodeSet:
     kernel; no ambient word is scanned.
 
     Testing against the generating set suffices by bilinearity; each
-    generator contributes two parity conditions, folded into a fully
-    reduced RREF basis of rows.  The dual is their kernel
-    (:func:`~z2ucodes.codewords.null_space`).  At beta = 0 the u-part
+    generator contributes two parity conditions.  The dual is their
+    kernel (:func:`~z2ucodes.codewords.null_space`), read off one
+    elimination already in canonical form.  At beta = 0 the u-part
     condition is the mod-2 dot product and the free part is empty, so
     this is the dual of a binary code.  It lists no word, and its one
     limit is the width check, which refuses the codes whose words the
@@ -84,8 +81,7 @@ def dual_bruteforce(code: CodeSet) -> CodeSet:
     """
     nbits = code.alpha + 2 * code.beta
     check_word_width(nbits)
-    kernel = null_space(_orthogonality_rows(code), nbits)
-    return CodeSet.from_basis(code.alpha, code.beta, kernel)
+    return CodeSet(code.alpha, code.beta, null_space(_orthogonality_rows(code), nbits))
 
 
 def check_dual_constacyclic(code: CodeSet) -> bool:

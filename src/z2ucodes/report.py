@@ -31,7 +31,6 @@ from .codewords import (
     validate_spec,
 )
 from .structure import (
-    cb_dimension,
     cyclic_code_from_generator,
     puncture_x,
     puncture_y,
@@ -210,11 +209,11 @@ def _type_checks(rows: _Rows, spec: CodeSpec, code: CodeSet) -> None:
         (measured.k0p, measured.k0pp, measured.k2p, measured.k2pp),
     )
     rows.compare("|C| = 2^k1 * 4^k2", 1 << code.rank, measured.size())
-    loose = cb_dimension(code)
+    cb = subcode_cb(code)
     rows.add(
         "k0 readings",
         "info",
-        f"dim (C_b)_X = {measured.k0}, log2 |C_b| = {loose}",
+        f"dim (C_b)_X = {measured.k0}, log2 |C_b| = {cb.rank}",
     )
     cx = puncture_x(code)
     cy = puncture_y(code)
@@ -242,7 +241,7 @@ def _type_checks(rows: _Rows, spec: CodeSpec, code: CodeSet) -> None:
         rows.compare_sets(
             "C_b equals the closure of its three stated generators",
             cb_gen.basis,
-            subcode_cb(code).basis,
+            cb.basis,
         )
 
 

@@ -4,8 +4,9 @@ submodule census.
 Two readings of k0 exist in the source material: the dimension of the
 subcode C_b itself versus the dimension of its binary puncturing
 (C_b)_X.  The formulas only come out under the punctured reading, so
-:func:`type_from_enumeration` uses that one; :func:`cb_dimension`
-exposes the other for comparison.
+:func:`type_from_enumeration` uses that one; the rank of
+:func:`subcode_cb` is the other, which the verify report shows for
+comparison.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .codewords import (
     closure_basis,
     reduce_against,
     require_valid,
+    rref,
     shift_packed,
     umul_packed,
 )
@@ -70,14 +72,12 @@ def _kernel(code: CodeSet, mask: int) -> CodeSet:
     """The codewords with no bit in mask, computed from the basis.
 
     Eliminates with the masked bits lifted above the word, so that they
-    lead; the rows left with no masked bit span the kernel.
+    lead; the rows left with no masked bit span the kernel, and are
+    already its canonical basis.
     """
     n = code.n
-    rows: list[int] = []
-    for b in code.basis:
-        m = b & mask
-        basis_insert(rows, (b ^ m) | (m << n))
-    return CodeSet.from_basis(code.alpha, code.beta, (r for r in rows if not r >> n))
+    rows = rref((b & ~mask) | (b & mask) << n for b in code.basis)
+    return CodeSet(code.alpha, code.beta, tuple(r for r in rows if not r >> n))
 
 
 def puncture_x(code: CodeSet) -> CodeSet:
@@ -98,11 +98,6 @@ def puncture_y(code: CodeSet) -> CodeSet:
 def subcode_cb(code: CodeSet) -> CodeSet:
     """The codewords whose every second-block symbol lies in {0, u}."""
     return _kernel(code, ((1 << code.beta) - 1) << code.alpha)
-
-
-def cb_dimension(code: CodeSet) -> int:
-    """log2 |C_b|: the looser reading of k0."""
-    return subcode_cb(code).rank
 
 
 def type_from_formulas(spec: CodeSpec) -> CodeType:
@@ -155,10 +150,12 @@ def type_from_enumeration(code: CodeSet) -> CodeType:
     cb = _kernel(code, pmask)
     k2 = code.rank - cb.rank
     k1 = code.rank - 2 * k2
-    k0 = cb.rank - _kernel(cb, amask).rank  # rank of (C_b)_X
+    # The words of C with no binary bit and no 1-component: the kernel of
+    # (C_b)_X within C_b and of the p-projection within the Y-only subcode.
+    u_only = _kernel(cb, amask).rank
+    k0 = cb.rank - u_only  # rank of (C_b)_X
     k0p = _kernel(code, ymask).rank
-    yonly = _kernel(code, amask)
-    k2p = yonly.rank - _kernel(yonly, pmask).rank
+    k2p = _kernel(code, amask).rank - u_only
     return CodeType(alpha, beta, k0, k1, k2, k0p, k0 - k0p, k2p, k2 - k2p)
 
 

@@ -24,6 +24,13 @@ and ``RPoly`` (p + u*q over them).  ``is_irreducible``, ``expand``,
 built on them, and ``word_texts`` the text and order of words written
 with one ``RElem`` per symbol.
 
+The basis referees keep the former one-vector-at-a-time routes:
+``basis_by_insertion`` folds the vectors into an RREF basis by
+``basis_insert``, ``null_space_by_leads`` reads a kernel off such a
+basis's leading bits and eliminates it again, and
+``type_by_five_kernels`` measures the Type parameters with a separate
+kernel for each subcode (``cb_dimension`` is log2 |C_b|).
+
 Five referees recompute what the package finds by a shorter argument:
 ``primary_components_by_kernel`` takes each primary component as the
 kernel of f^e(S), ``spanning_minimal_by_removal`` rebuilds the span of
@@ -53,7 +60,6 @@ from z2ucodes.codewords import (
     closure_basis,
     enumerate_closure,
     iter_valid_specs,
-    null_space,
     reduce_against,
     shift_packed,
     spanning_span,
@@ -61,6 +67,7 @@ from z2ucodes.codewords import (
 from z2ucodes.duality import _orthogonality_rows
 from z2ucodes.gf2poly import factor, poly_pow, x_pow_n_minus_1
 from z2ucodes.gray import gray_block_packed
+from z2ucodes.structure import CodeType
 
 # ---------------------------------------------------------------------------
 # polynomial and ring objects
@@ -447,11 +454,12 @@ def dual_scan(code: CodeSet) -> CodeSet:
     """All ambient words orthogonal to every codeword, by deciding every
     ambient word.
 
-    Each generator contributes two parity conditions, folded into at
-    most n = alpha + 2*beta independent rows, so a syndrome fits in an
-    int64.  The syndrome is linear, so the word hi|lo is in the dual
-    exactly when S_hi[hi] == S_lo[lo]: the dual is the equi-join of the
-    two half tables.
+    Each basis vector contributes two parity conditions, the unreduced
+    masks of ``duality._orthogonality_rows``: at most 2n rows for
+    n = alpha + 2*beta, so a syndrome fits in an int64 up to n = 31.
+    The syndrome is linear, so the word hi|lo is in the dual exactly
+    when S_hi[hi] == S_lo[lo]: the dual is the equi-join of the two half
+    tables.
 
     The join's run lengths give the dual's size and where each high
     half's words sit in ascending order, so the words at positions 2^i,
@@ -537,6 +545,69 @@ def word_texts(words, alpha: int, beta: int) -> list[str]:
 # linear-algebra referees
 
 
+def basis_by_insertion(vectors) -> tuple[int, ...]:
+    """Referee of ``codewords.rref``: the vectors folded one at a time
+    into a fully reduced RREF basis by ``basis_insert``."""
+    basis: list[int] = []
+    for v in vectors:
+        basis_insert(basis, int(v))
+    return tuple(basis)
+
+
+def null_space_by_leads(vectors, nbits: int) -> tuple[int, ...]:
+    """Referee of ``codewords.null_space``: the vectors folded into a
+    fully reduced RREF basis, then for each bit j that is no row's
+    leading bit the word 1 << j plus the leads of the rows with bit j
+    set, and those words eliminated again into canonical form."""
+    rows = basis_by_insertion(vectors)
+    pivot_bits = 0
+    for r in rows:
+        pivot_bits |= 1 << (r.bit_length() - 1)
+    kernel = []
+    for j in range(nbits):
+        if (pivot_bits >> j) & 1:
+            continue
+        v = 1 << j
+        for r in rows:
+            if (r & v).bit_count() & 1:
+                v |= 1 << (r.bit_length() - 1)
+        kernel.append(v)
+    return basis_by_insertion(kernel)
+
+
+def kernel_by_insertion(code: CodeSet, mask: int) -> CodeSet:
+    """The codewords with no bit in mask: the basis eliminated with the
+    masked bits lifted above the word, one vector at a time, and the
+    rows left with no masked bit eliminated again."""
+    n = code.n
+    rows = basis_by_insertion((b & ~mask) | (b & mask) << n for b in code.basis)
+    return CodeSet(code.alpha, code.beta, basis_by_insertion(r for r in rows if not r >> n))
+
+
+def cb_dimension(code: CodeSet) -> int:
+    """log2 |C_b|, the looser reading of k0: the rank of the codewords
+    whose every second-block symbol lies in {0, u}."""
+    return kernel_by_insertion(code, ((1 << code.beta) - 1) << code.alpha).rank
+
+
+def type_by_five_kernels(code: CodeSet) -> CodeType:
+    """Referee of ``structure.type_from_enumeration``: each rank from its
+    own kernel, C_b and its binary-free part, the Y-only subcode and its
+    1-component-free part, and the X-only subcode."""
+    alpha, beta = code.alpha, code.beta
+    amask = (1 << alpha) - 1
+    pmask = ((1 << beta) - 1) << alpha
+    ymask = ((1 << (2 * beta)) - 1) << alpha
+    cb = kernel_by_insertion(code, pmask)
+    k2 = code.rank - cb.rank
+    k1 = code.rank - 2 * k2
+    k0 = cb.rank - kernel_by_insertion(cb, amask).rank
+    k0p = kernel_by_insertion(code, ymask).rank
+    yonly = kernel_by_insertion(code, amask)
+    k2p = yonly.rank - kernel_by_insertion(yonly, pmask).rank
+    return CodeType(alpha, beta, k0, k1, k2, k0p, k0 - k0p, k2p, k2 - k2p)
+
+
 def primary_components_by_kernel(alpha: int, beta: int) -> list[tuple[int, ...]]:
     """Referee of ``structure._primary_components``: each V_f as the
     kernel of f^e(S), with S the shift and e the larger of f's
@@ -566,10 +637,9 @@ def primary_components_by_kernel(alpha: int, beta: int) -> list[tuple[int, ...]]
     for image in images:
         # Row i holds bit i of every column j at bit j: the transpose, read
         # off the columns' binary texts, last column first.
-        rows: list[int] = []
-        for bits in zip(*(format(m, f"0{nbits}b") for m in reversed(image))):
-            basis_insert(rows, int("".join(bits), 2))
-        components.append(CodeSet.from_basis(alpha, beta, null_space(rows, nbits)).basis)
+        columns = (format(m, f"0{nbits}b") for m in reversed(image))
+        rows = [int("".join(bits), 2) for bits in zip(*columns)]
+        components.append(null_space_by_leads(rows, nbits))
     return components
 
 

@@ -1,9 +1,11 @@
+import functools
 import json
 import math
+import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from z2ucodes.gf2poly import (
@@ -26,7 +28,9 @@ from z2ucodes.codewords import (
     is_constacyclic,
     iter_valid_specs,
     l_base,
+    null_space,
     parse_spec_text,
+    rref,
     shift_packed,
     spanning_set,
     spanning_span,
@@ -36,7 +40,7 @@ from z2ucodes.codewords import (
 from z2ucodes.cli import main
 
 from referee import R_ONE, R_ONE_U, R_U, R_ZERO, ZERO, Ambient, BinPoly, Codeword, RPoly
-from referee import shift, star_mul, words
+from referee import basis_by_insertion, null_space_by_leads, shift, star_mul, words
 
 
 def P(text):
@@ -437,3 +441,52 @@ class TestSweep:
                             if not validate_spec(cand):
                                 brute.add(cand)
             assert generated == brute, (alpha, beta)
+
+
+@st.composite
+def vector_lists(draw, max_bits=90):
+    """A width of 1..max_bits bits and up to 12 words of that width, with
+    zeros, repeats and sums of earlier words mixed in."""
+    nbits = draw(st.integers(1, max_bits))
+    vectors = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["word", "zero", "sum"]) if vectors else st.just("word"))
+        if kind == "word":
+            vectors.append(draw(st.integers(0, (1 << nbits) - 1)))
+        elif kind == "zero":
+            vectors.append(0)
+        else:
+            chosen = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=3))
+            vectors.append(functools.reduce(operator.xor, chosen))
+    return nbits, vectors
+
+
+class TestBatchElimination:
+    @settings(deadline=None, max_examples=300)
+    @given(vector_lists())
+    @example((1, []))
+    @example((5, [0, 0, 0]))
+    @example((4, [0b1010, 0b1010, 0b0110, 0b1100, 0b0110]))
+    @example((90, [(1 << 90) - 1, 1 << 89, 1, (1 << 89) | 1]))
+    def test_rref_matches_the_insertion_referee(self, drawn):
+        _, vectors = drawn
+        basis = rref(vectors)
+        assert basis == basis_by_insertion(vectors)
+        assert rref(basis) == basis
+        assert CodeSet.from_basis(3, 0, vectors).basis == basis
+
+    @settings(deadline=None, max_examples=300)
+    @given(vector_lists())
+    @example((1, []))
+    @example((1, [1]))
+    @example((6, [0, 0]))
+    @example((6, [0b111111, 0b111111, 0b000011]))
+    @example((90, [(1 << 90) - 1, 1 << 89, 1, (1 << 89) | 1]))
+    def test_null_space_is_the_canonical_orthogonal_complement(self, drawn):
+        nbits, vectors = drawn
+        kernel = null_space(vectors, nbits)
+        assert all(((k & v).bit_count() & 1) == 0 for k in kernel for v in vectors)
+        assert len(rref(vectors)) + len(kernel) == nbits
+        assert rref(kernel) == kernel
+        assert all(k >> nbits == 0 for k in kernel)
+        assert kernel == null_space_by_leads(vectors, nbits)

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z2ucodes.gf2poly import parse_poly, poly_mul
 from z2ucodes.codewords import (
@@ -18,7 +20,6 @@ from z2ucodes.codewords import (
 )
 from z2ucodes import codewords, structure
 from z2ucodes.structure import (
-    cb_dimension,
     census_table,
     count_codes_census,
     count_codes_formula,
@@ -31,12 +32,16 @@ from z2ucodes.structure import (
 )
 
 from referee import (
+    cb_dimension,
     cyclic_submodules,
     join_irreducibles,
     join_irreducibles_by_containment,
+    kernel_by_insertion,
     primary_components_by_kernel,
+    type_by_five_kernels,
 )
 from test_closure_chains import closed_word_set, spanned_words
+from test_report import bench_verify_specs
 
 
 def P(text):
@@ -603,6 +608,40 @@ class TestCbDimensions:
         code = closure_of_spec(WORKED)
         assert type_from_enumeration(code).k0 == 1
         assert cb_dimension(code) == 3
+        assert subcode_cb(code).rank == 3
+
+
+def test_type_matches_the_five_kernel_referee():
+    # Every valid spec of alpha <= 6 and beta <= 5, and the benchmark's
+    # seed-1 sample.
+    specs = [s for a in range(1, 7) for b in range(1, 6) for s in iter_valid_specs(a, b)]
+    bench = bench_verify_specs(1)
+    assert (len(specs), len(bench)) == (4029, 107)
+    for spec in specs + bench:
+        code = closure_of_spec(spec)
+        assert type_from_enumeration(code) == type_by_five_kernels(code), spec
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda beta: st.tuples(
+            st.just(beta),
+            st.integers(0 if beta else 1, 12 - 2 * beta),
+            st.lists(st.integers(0, (1 << 20) - 1), max_size=8),
+            st.integers(0, (1 << 20) - 1),
+        )
+    )
+)
+def test_kernel_matches_the_insertion_referee(drawn):
+    # Random spans and masks, every word and mask cut to the width n.
+    beta, alpha, vectors, mask = drawn
+    n = alpha + 2 * beta
+    code = CodeSet.from_basis(alpha, beta, [v & ((1 << n) - 1) for v in vectors])
+    mask &= (1 << n) - 1
+    kernel = structure._kernel(code, mask)
+    assert kernel == kernel_by_insertion(code, mask)
+    assert all(b & mask == 0 for b in kernel.basis)
 
 
 class TestPuncturedSizeIdentities:
